@@ -24,15 +24,23 @@
  * run's observation bit for bit, and runAnytime driven to
  * completion folds to an estimate byte-identical to run()'s.
  *
- * On disk (save()/load(), version 2 of docs/checkpoint-format.md,
- * `.smlp`) the per-unit states are delta-encoded against the
- * previous unit's raw state (util/delta_codec.hh) — consecutive
- * units share nearly all serialized state, so a library of hundreds
- * of live-points costs a small multiple of one full checkpoint —
- * with a per-record FNV-1a checksum over the DECODED state so
- * corruption anywhere in a chain is pinned to the record where it
- * breaks. CheckpointStore persists live-point libraries next to
- * shard libraries under the same LibraryKey geometry-hash scheme.
+ * A library IS its encoded record chain (version 4 of
+ * docs/checkpoint-format.md, `.smlp`): each unit's raw state is
+ * delta-encoded against the previous unit's (util/delta_codec.hh) as
+ * it is captured — consecutive units share nearly all serialized
+ * state, so hundreds of live-points cost a small multiple of one
+ * full checkpoint — and every record carries an FNV-1a checksum over
+ * its ENCODED bytes, so corruption anywhere in a chain is pinned to
+ * the record where it breaks. save() copies the chain out and load()
+ * validates it in one pass over a rolling state buffer: both cost
+ * O(delta bytes), not O(state x units). In memory the chain is
+ * indexed by a few full-state keyframes — a new one starts once the
+ * delta bytes since the last exceed one raw state — so
+ * materialize() rebuilds any unit from its keyframe by applying at
+ * most one state's worth of deltas: an early-stopping study pays for
+ * the units it measures, not for the grid. CheckpointStore persists
+ * live-point libraries next to shard libraries under the same
+ * LibraryKey geometry-hash scheme.
  */
 
 #ifndef SMARTS_CORE_LIVEPOINT_HH
@@ -53,13 +61,15 @@ namespace smarts::core {
 
 /**
  * On-disk live-point library format version (`.smlp` files).
- * Version 3 adds the same flavor byte as checkpoint format v2
- * (kCheckpointFlavorSolo/Mix, after the endianness marker);
- * version-2 files — always solo — still load. Flavor 1 (co-run mix
- * live-points) is RESERVED: no writer exists yet, and the loader
- * refuses it by name so the reservation cannot rot silently.
+ * Version 4 checksums each record's encoded bytes instead of its
+ * decoded state. Older versions are refused with a version
+ * diagnostic; the checkpoint store treats that as a miss and
+ * recaptures. The flavor byte (kCheckpointFlavorSolo/Mix, after the
+ * endianness marker) stays: flavor 1 (co-run mix live-points) is
+ * RESERVED — no writer exists yet, and the loader refuses it by name
+ * so the reservation cannot rot silently.
  */
-constexpr std::uint32_t kLivePointFormatVersion = 3;
+constexpr std::uint32_t kLivePointFormatVersion = 4;
 
 /** Warm resume state for ONE measured unit's (W + U) window. */
 struct LivePoint
@@ -75,14 +85,6 @@ struct LivePoint
 
     ArchState arch;
     TimingState timing;
-
-    /** Approximate in-memory footprint, for capacity planning. */
-    std::size_t
-    byteSize() const
-    {
-        return arch.byteSize() + timing.byteSize() +
-               2 * sizeof(std::uint64_t);
-    }
 };
 
 class LivePointLibrary
@@ -103,7 +105,7 @@ class LivePointLibrary
      * Per-point capture hook: called with the library slot index and
      * the freshly captured point, immediately after it is appended.
      * The reference is valid ONLY for the duration of the call (the
-     * library's storage may move as later points are appended) — a
+     * capture reuses the point's storage for the next unit) — a
      * sink that hands the point to concurrent measurement work (the
      * leapfrog overlap) must copy it.
      */
@@ -133,9 +135,10 @@ class LivePointLibrary
     buildMulti(MultiSession &session, const SamplingConfig &config);
 
     /**
-     * Serialize under @p key into the delta-encoded v2 format
-     * (docs/checkpoint-format.md § Version 2) and publish atomically
-     * at @p path. False with @p error set on filesystem failure.
+     * Serialize under @p key into the `.smlp` format
+     * (docs/checkpoint-format.md § Live-point libraries) and publish
+     * atomically at @p path. False with @p error set on filesystem
+     * failure.
      */
     bool save(const LibraryKey &key, const std::string &path,
               std::string *error = nullptr,
@@ -144,8 +147,9 @@ class LivePointLibrary
     /**
      * Load a library from @p path, refusing — nullopt plus a
      * diagnostic in @p error — on anything short of an exact match:
-     * missing/truncated/corrupt file, a record failing its state
-     * checksum, an unknown format version, a key whose benchmark,
+     * missing/truncated/corrupt file, a record failing its record
+     * checksum or decoding to a malformed state, any format version
+     * but kLivePointFormatVersion, a key whose benchmark,
      * sampling design or config geometry differs from @p expect, or
      * records off the sampling grid. Refusal is the contract: a
      * mis-keyed live-point must never silently mis-warm a unit.
@@ -154,7 +158,10 @@ class LivePointLibrary
     load(const std::string &path, const LibraryKey &expect,
          std::string *error = nullptr);
 
-    /** Serialize to @p out (save() = serialize + checksummed file). */
+    /**
+     * Serialize to @p out (save() = serialize + checksummed file):
+     * a header plus a copy of the already-encoded chain.
+     */
     void serialize(const LibraryKey &key,
                    util::BinaryWriter &out) const;
 
@@ -177,29 +184,96 @@ class LivePointLibrary
     std::size_t
     unitCount() const
     {
-        return points_.size();
+        return records_.size();
     }
 
-    const LivePoint &
-    at(std::size_t unit) const
+    /**
+     * One caller's walk over the chain. materialize() rebuilds a
+     * unit from the nearest raw state the cursor holds: the unit it
+     * built last, when that lies earlier in the same keyframe span,
+     * else the unit's keyframe — then applies the deltas up to the
+     * unit in place and parses. An ascending walk (a unit range, a
+     * sorted batch) therefore applies each delta about once. A
+     * cursor belongs to one thread and must not outlive its
+     * library, which stays const and shared.
+     */
+    class Cursor
     {
-        return points_[unit];
+      public:
+        explicit Cursor(const LivePointLibrary &library)
+            : library_(&library)
+        {
+        }
+
+        /** Rebuild unit @p unit into @p out (storage reused). */
+        void materialize(std::size_t unit, LivePoint &out);
+
+      private:
+        const LivePointLibrary *library_;
+        bool holding_ = false;   ///< state_ holds unit_'s raw state.
+        std::size_t unit_ = 0;
+        std::vector<std::uint8_t> state_;
+    };
+
+    /**
+     * Rebuild unit @p unit's live-point into @p out: copy its
+     * keyframe, apply at most one raw state's worth of deltas in
+     * place, parse. Const and thread-safe; pool jobs that measure
+     * several units use one Cursor each instead.
+     */
+    void
+    materialize(std::size_t unit, LivePoint &out) const
+    {
+        Cursor(*this).materialize(unit, out);
     }
 
-    /** Total in-memory footprint of the captured live-points. */
+    /** In-memory footprint: the encoded chain plus the keyframes. */
+    std::size_t byteSize() const;
+
+    /** Full-state keyframes indexing the chain (at least one). */
     std::size_t
-    byteSize() const
+    keyframeCount() const
     {
-        std::size_t total = 0;
-        for (const LivePoint &point : points_)
-            total += point.byteSize();
-        return total;
+        return keyframes_.size();
     }
 
   private:
+    /** Where record i sits in the chain, and its keyframe. */
+    struct Record
+    {
+        std::uint64_t unitIndex = 0;
+        std::uint64_t position = 0;
+        std::size_t deltaAt = 0;   ///< offset of the delta in chain_.
+        std::size_t deltaSize = 0;
+        std::size_t keyframe = 0;  ///< index into keyframes_.
+    };
+
+    /** The full raw state of record `unit`. */
+    struct Keyframe
+    {
+        std::size_t unit = 0;
+        std::vector<std::uint8_t> state;
+    };
+
+    /** Encode @p point onto the chain (capture side). */
+    void append(const LivePoint &point, util::BinaryWriter &scratch);
+
+    /**
+     * Index the record just placed on the chain, whose raw state is
+     * @p state; start a keyframe there when the delta bytes since
+     * the last keyframe exceed one raw state.
+     */
+    void indexRecord(std::uint64_t unitIndex, std::uint64_t position,
+                     std::size_t deltaAt, std::size_t deltaSize,
+                     const std::vector<std::uint8_t> &state);
+
     SamplingConfig config_;
     std::uint64_t streamLength_ = 0;
-    std::vector<LivePoint> points_;
+    util::BinaryWriter chain_; ///< the records, byte for byte on disk.
+    std::vector<Record> records_;
+    std::vector<Keyframe> keyframes_;
+    std::size_t sinceKeyframe_ = 0; ///< delta bytes since the last.
+    std::vector<std::uint8_t> tail_; ///< capture's last raw state.
 };
 
 } // namespace smarts::core

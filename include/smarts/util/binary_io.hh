@@ -2,12 +2,19 @@
  * @file
  * Binary serialization primitives for the persistent checkpoint
  * format (docs/checkpoint-format.md): a BinaryWriter that encodes
- * every multi-byte value LITTLE-ENDIAN byte by byte — so a library
- * written on any host reads back on any other — and a BinaryReader
- * that never trusts the file: every read checks the remaining bytes
- * and flips a sticky fail() flag instead of running past the end,
- * which is how truncated or corrupt files are refused rather than
- * mis-parsed.
+ * every multi-byte value LITTLE-ENDIAN — so a library written on any
+ * host reads back on any other — and a BinaryReader that never
+ * trusts the file: every read checks the remaining bytes and flips a
+ * sticky fail() flag instead of running past the end, which is how
+ * truncated or corrupt files are refused rather than mis-parsed.
+ *
+ * Scalars are assembled byte by byte. Element vectors (vecU8/U32/
+ * U64) move in bulk with memcpy on little-endian hosts, where the
+ * host layout IS the file layout; a big-endian host takes the
+ * per-element byte loop instead. The bytes on disk are the same
+ * either way. A reader either owns its bytes (fromFile, the vector
+ * constructor) or is a non-owning view over bytes the caller keeps
+ * alive, so a state held in a larger buffer parses without a copy.
  *
  * Writers accumulate into a memory buffer; writeFile() appends an
  * FNV-1a checksum of everything before it and publishes the file
@@ -23,9 +30,21 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace smarts::util {
+
+/**
+ * True when the host's byte order is the format's (little-endian):
+ * element vectors are then copied in bulk instead of byte by byte.
+ */
+constexpr bool kHostLittleEndian =
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    true;
+#else
+    false;
+#endif
 
 /** FNV-1a 64-bit over @p size bytes (the format's checksum). */
 inline std::uint64_t
@@ -91,23 +110,67 @@ class BinaryWriter
     vecU8(const std::vector<std::uint8_t> &v)
     {
         u64(v.size());
-        buffer_.insert(buffer_.end(), v.begin(), v.end());
+        bytes(v.data(), v.size());
     }
 
     void
     vecU32(const std::vector<std::uint32_t> &v)
     {
         u64(v.size());
-        for (const std::uint32_t x : v)
-            u32(x);
+        if constexpr (kHostLittleEndian) {
+            bytes(reinterpret_cast<const std::uint8_t *>(v.data()),
+                  v.size() * sizeof(std::uint32_t));
+        } else {
+            for (const std::uint32_t x : v)
+                u32(x);
+        }
     }
 
     void
     vecU64(const std::vector<std::uint64_t> &v)
     {
         u64(v.size());
-        for (const std::uint64_t x : v)
-            u64(x);
+        if constexpr (kHostLittleEndian) {
+            bytes(reinterpret_cast<const std::uint8_t *>(v.data()),
+                  v.size() * sizeof(std::uint64_t));
+        } else {
+            for (const std::uint64_t x : v)
+                u64(x);
+        }
+    }
+
+    /** Append @p size raw bytes verbatim. */
+    void
+    bytes(const std::uint8_t *data, std::size_t size)
+    {
+        if (size)
+            buffer_.insert(buffer_.end(), data, data + size);
+    }
+
+    /**
+     * Append @p size zero bytes and return a pointer to them, valid
+     * until the next append: lets an encoder fill a span in place.
+     */
+    std::uint8_t *
+    grow(std::size_t size)
+    {
+        buffer_.resize(buffer_.size() + size);
+        return buffer_.data() + buffer_.size() - size;
+    }
+
+    /** Overwrite the u64 at byte offset @p at (a back-patched field). */
+    void
+    patchU64(std::size_t at, std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            buffer_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+
+    /** Drop the contents, keeping the capacity for reuse. */
+    void
+    clear()
+    {
+        buffer_.clear();
     }
 
     const std::vector<std::uint8_t> &
@@ -145,10 +208,28 @@ class BinaryWriter
 class BinaryReader
 {
   public:
+    /** Owning reader: takes @p data. */
     explicit BinaryReader(std::vector<std::uint8_t> data)
-        : data_(std::move(data))
+        : owned_(std::move(data)), data_(owned_.data()),
+          size_(owned_.size())
     {
     }
+
+    /**
+     * Non-owning view over @p size bytes at @p data, which the
+     * caller keeps alive and unchanged while the reader is in use.
+     */
+    BinaryReader(const std::uint8_t *data, std::size_t size)
+        : data_(data), size_(size)
+    {
+    }
+
+    // A moved std::vector keeps its heap buffer, so data_ stays
+    // valid across a move; a copy would alias the source's buffer.
+    BinaryReader(BinaryReader &&) = default;
+    BinaryReader &operator=(BinaryReader &&) = default;
+    BinaryReader(const BinaryReader &) = delete;
+    BinaryReader &operator=(const BinaryReader &) = delete;
 
     /**
      * Read @p path, verify the trailing FNV-1a checksum, and return
@@ -203,53 +284,44 @@ class BinaryReader
     str()
     {
         const std::uint32_t n = u32();
-        if (!require(n))
-            return {};
-        std::string s(data_.begin() + pos_, data_.begin() + pos_ + n);
-        pos_ += n;
-        return s;
+        const std::uint8_t *at = bytes(n);
+        return at ? std::string(at, at + n) : std::string();
     }
 
     std::vector<std::uint8_t>
     vecU8()
     {
         const std::uint64_t n = u64();
-        if (!require(n))
-            return {};
-        std::vector<std::uint8_t> v(data_.begin() + pos_,
-                                    data_.begin() + pos_ + n);
-        pos_ += n;
-        return v;
+        const std::uint8_t *at = bytes(n);
+        return at ? std::vector<std::uint8_t>(at, at + n)
+                  : std::vector<std::uint8_t>();
     }
 
     std::vector<std::uint32_t>
     vecU32()
     {
-        // Divide, don't multiply: 4 * n wraps for a hostile length
-        // field, and the whole point is refusing such files.
-        const std::uint64_t n = u64();
-        if (failed_ || n > (data_.size() - pos_) / 4) {
-            failed_ = true;
-            return {};
-        }
-        std::vector<std::uint32_t> v(n);
-        for (std::uint64_t i = 0; i < n; ++i)
-            v[i] = u32();
-        return v;
+        return vecOf<std::uint32_t>();
     }
 
     std::vector<std::uint64_t>
     vecU64()
     {
-        const std::uint64_t n = u64();
-        if (failed_ || n > (data_.size() - pos_) / 8) {
-            failed_ = true;
-            return {};
-        }
-        std::vector<std::uint64_t> v(n);
-        for (std::uint64_t i = 0; i < n; ++i)
-            v[i] = u64();
-        return v;
+        return vecOf<std::uint64_t>();
+    }
+
+    /**
+     * The next @p n bytes in place (advancing past them), or nullptr
+     * with fail() latched when fewer remain. The pointer lives as
+     * long as the reader's bytes do.
+     */
+    const std::uint8_t *
+    bytes(std::uint64_t n)
+    {
+        if (!require(n))
+            return nullptr;
+        const std::uint8_t *at = data_ + pos_;
+        pos_ += static_cast<std::size_t>(n);
+        return at;
     }
 
     /** False once any read overran the buffer (truncated payload). */
@@ -269,21 +341,50 @@ class BinaryReader
     std::size_t
     remaining() const
     {
-        return data_.size() - pos_;
+        return size_ - pos_;
     }
 
   private:
     bool
-    require(std::uint64_t bytes)
+    require(std::uint64_t n)
     {
-        if (failed_ || bytes > data_.size() - pos_) {
+        if (failed_ || n > size_ - pos_) {
             failed_ = true;
             return false;
         }
         return true;
     }
 
-    std::vector<std::uint8_t> data_;
+    /** A u64-length-prefixed vector of little-endian @p T. */
+    template <typename T>
+    std::vector<T>
+    vecOf()
+    {
+        // Divide, don't multiply: sizeof(T) * n wraps for a hostile
+        // length field, and the whole point is refusing such files.
+        const std::uint64_t n = u64();
+        if (failed_ || n > (size_ - pos_) / sizeof(T)) {
+            failed_ = true;
+            return {};
+        }
+        std::vector<T> v(static_cast<std::size_t>(n));
+        if constexpr (kHostLittleEndian) {
+            if (n)
+                std::memcpy(v.data(), data_ + pos_, n * sizeof(T));
+            pos_ += static_cast<std::size_t>(n * sizeof(T));
+        } else {
+            for (T &x : v) {
+                x = 0;
+                for (std::size_t b = 0; b < sizeof(T); ++b)
+                    x |= static_cast<T>(data_[pos_++]) << (8 * b);
+            }
+        }
+        return v;
+    }
+
+    std::vector<std::uint8_t> owned_;
+    const std::uint8_t *data_ = nullptr;
+    std::size_t size_ = 0;
     std::size_t pos_ = 0;
     bool failed_ = false;
 };

@@ -123,14 +123,21 @@ measureLivePoint(SimSession &session, const SamplingConfig &config,
     }
 }
 
-/** Raw serialized state of one live-point (the delta chain's unit). */
-std::vector<std::uint8_t>
-rawStateOf(const LivePoint &point)
+/** Fixed part of a record: unitIndex, position, recordFnv, length. */
+constexpr std::size_t kRecordHead = 4 * sizeof(std::uint64_t);
+
+/**
+ * FNV-1a over a record's encoded bytes minus its own checksum field:
+ * unitIndex and position, then the delta's length and bytes.
+ */
+std::uint64_t
+recordFnv(const std::uint8_t *head, const std::uint8_t *delta,
+          std::size_t deltaSize)
 {
-    util::BinaryWriter raw;
-    point.arch.write(raw);
-    point.timing.write(raw);
-    return raw.buffer();
+    std::uint64_t h = util::fnv1a(head, 2 * sizeof(std::uint64_t));
+    h = util::fnv1a(head + 3 * sizeof(std::uint64_t),
+                    sizeof(std::uint64_t), h);
+    return util::fnv1a(delta, deltaSize, h);
 }
 
 // The anytime stop rule, factored so the warm path (runAnytime,
@@ -217,17 +224,18 @@ LivePointLibrary::build(SimSession &session,
 {
     LivePointLibrary library;
     library.config_ = config;
+    LivePoint point;
+    util::BinaryWriter scratch;
     library.streamLength_ = liveCaptureSchedule(
         session, config, [&](std::uint64_t unitIdx) {
-            LivePoint point;
             session.saveState(point.arch, point.timing);
             point.position = session.instCount();
             point.unitIndex = unitIdx;
-            library.points_.push_back(std::move(point));
+            library.append(point, scratch);
             if (sink)
-                sink(library.points_.size() - 1,
-                     library.points_.back());
+                sink(library.unitCount() - 1, point);
         });
+    library.tail_ = {};
     return library;
 }
 
@@ -239,26 +247,115 @@ LivePointLibrary::buildMulti(MultiSession &session,
     for (LivePointLibrary &library : libraries)
         library.config_ = config;
 
-    ArchState arch;
+    LivePoint point;
     std::vector<TimingState> timings;
+    util::BinaryWriter scratch;
     const std::uint64_t length = liveCaptureSchedule(
         session, config, [&](std::uint64_t unitIdx) {
             // One architectural snapshot, one timing snapshot per
             // config: library c gets exactly the live-point a
             // single-config capture of config c would have taken.
-            session.saveState(arch, timings);
+            session.saveState(point.arch, timings);
+            point.position = session.instCount();
+            point.unitIndex = unitIdx;
             for (std::size_t c = 0; c < libraries.size(); ++c) {
-                LivePoint point;
-                point.arch = arch;
-                point.timing = std::move(timings[c]);
-                point.position = session.instCount();
-                point.unitIndex = unitIdx;
-                libraries[c].points_.push_back(std::move(point));
+                std::swap(point.timing, timings[c]);
+                libraries[c].append(point, scratch);
+                std::swap(point.timing, timings[c]);
             }
         });
-    for (LivePointLibrary &library : libraries)
+    for (LivePointLibrary &library : libraries) {
         library.streamLength_ = length;
+        library.tail_ = {};
+    }
     return libraries;
+}
+
+void
+LivePointLibrary::append(const LivePoint &point,
+                         util::BinaryWriter &scratch)
+{
+    scratch.clear();
+    point.arch.write(scratch);
+    point.timing.write(scratch);
+    const std::vector<std::uint8_t> &raw = scratch.buffer();
+
+    const std::size_t head = chain_.size();
+    chain_.u64(point.unitIndex);
+    chain_.u64(point.position);
+    chain_.u64(0); // recordFnv, patched once the delta is known.
+    chain_.u64(0); // delta length, likewise.
+    const std::size_t deltaAt = chain_.size();
+    util::deltaEncode(tail_.data(), tail_.size(), raw.data(),
+                      raw.size(), chain_);
+    const std::size_t deltaSize = chain_.size() - deltaAt;
+    chain_.patchU64(head + 3 * sizeof(std::uint64_t), deltaSize);
+    const std::uint8_t *bytes = chain_.buffer().data();
+    chain_.patchU64(head + 2 * sizeof(std::uint64_t),
+                    recordFnv(bytes + head, bytes + deltaAt,
+                              deltaSize));
+
+    indexRecord(point.unitIndex, point.position, deltaAt, deltaSize,
+                raw);
+    tail_ = raw;
+}
+
+void
+LivePointLibrary::indexRecord(std::uint64_t unitIndex,
+                              std::uint64_t position,
+                              std::size_t deltaAt,
+                              std::size_t deltaSize,
+                              const std::vector<std::uint8_t> &state)
+{
+    sinceKeyframe_ += deltaSize;
+    if (keyframes_.empty() || sinceKeyframe_ > state.size()) {
+        keyframes_.push_back({records_.size(), state});
+        sinceKeyframe_ = 0;
+    }
+    records_.push_back({unitIndex, position, deltaAt, deltaSize,
+                        keyframes_.size() - 1});
+}
+
+void
+LivePointLibrary::Cursor::materialize(std::size_t unit, LivePoint &out)
+{
+    const LivePointLibrary &library = *library_;
+    if (unit >= library.records_.size())
+        SMARTS_FATAL("live-point ", unit, " is past the library's ",
+                     library.records_.size(), " units");
+    const Record &record = library.records_[unit];
+    const Keyframe &keyframe = library.keyframes_[record.keyframe];
+
+    if (!holding_ || unit_ > unit ||
+        library.records_[unit_].keyframe != record.keyframe) {
+        state_ = keyframe.state;
+        unit_ = keyframe.unit;
+        holding_ = true;
+    }
+    const std::uint8_t *chain = library.chain_.buffer().data();
+    for (; unit_ < unit; ++unit_) {
+        const Record &next = library.records_[unit_ + 1];
+        std::string error;
+        if (!util::deltaApply(state_, chain + next.deltaAt,
+                              next.deltaSize, &error))
+            SMARTS_FATAL("live-point ", unit_ + 1,
+                         " no longer decodes (", error, ")");
+    }
+    util::BinaryReader in(state_.data(), state_.size());
+    out.arch.read(in);
+    out.timing.read(in);
+    out.unitIndex = record.unitIndex;
+    out.position = record.position;
+}
+
+std::size_t
+LivePointLibrary::byteSize() const
+{
+    std::size_t total =
+        chain_.size() + records_.size() * sizeof(Record);
+    for (const Keyframe &keyframe : keyframes_)
+        total += keyframe.state.size();
+    return total;
 }
 
 void
@@ -273,18 +370,8 @@ LivePointLibrary::serialize(const LibraryKey &key,
     key.write(out);
 
     out.u64(streamLength_);
-    out.u64(points_.size());
-    std::vector<std::uint8_t> prev;
-    for (const LivePoint &point : points_) {
-        const std::vector<std::uint8_t> raw = rawStateOf(point);
-        out.u64(point.unitIndex);
-        out.u64(point.position);
-        // Checksum of the DECODED state: corruption anywhere in the
-        // delta chain is pinned to the record where it breaks.
-        out.u64(util::fnv1a(raw.data(), raw.size()));
-        out.vecU8(util::deltaEncode(prev, raw));
-        prev = raw;
-    }
+    out.u64(records_.size());
+    out.bytes(chain_.buffer().data(), chain_.size());
 }
 
 bool
@@ -316,25 +403,23 @@ LivePointLibrary::load(const std::string &path,
         if (in.u8() != static_cast<std::uint8_t>(c))
             return refuse(log::format(
                 path, " is not a smarts live-point library"));
-    // v2 files (no flavor byte, always solo state) still load: the
-    // same migration policy as checkpoint v1→v2.
+    // Older versions are refused, not migrated: the store is a
+    // cache, and a refusal there is a recapture.
     const std::uint32_t version = in.u32();
-    if (version != 2 && version != kLivePointFormatVersion)
+    if (version != kLivePointFormatVersion)
         return refuse(log::format(
             path, " is format version ", version,
-            "; this build reads versions 2 and ",
-            kLivePointFormatVersion));
+            "; this build reads version ", kLivePointFormatVersion,
+            " only (recapture the library)"));
     if (in.u32() != kEndianMark)
         return refuse(log::format(path,
                                   " has a bad endianness marker"));
-    if (version >= 3) {
-        const std::uint8_t flavor = in.u8();
-        if (flavor != kCheckpointFlavorSolo)
-            return refuse(log::format(
-                path, " holds flavor-", flavor,
-                " (co-run mix) live-points, which no reader "
-                "implements yet (the flavor is reserved)"));
-    }
+    const std::uint8_t flavor = in.u8();
+    if (flavor != kCheckpointFlavorSolo)
+        return refuse(log::format(
+            path, " holds flavor-", flavor,
+            " (co-run mix) live-points, which no reader "
+            "implements yet (the flavor is reserved)"));
 
     const LibraryKey stored = LibraryKey::read(in);
     const std::string mismatch = expect.mismatchAgainst(stored);
@@ -349,37 +434,45 @@ LivePointLibrary::load(const std::string &path,
     library.streamLength_ = in.u64();
     const std::uint64_t count = in.u64();
     // An absurd count means a corrupt length field the checksum
-    // somehow missed; bound it by what the payload could hold.
-    if (in.failed() || count > in.remaining())
+    // somehow missed; bound it by what the payload could hold (a
+    // record is at least its head plus a delta's rawSize).
+    if (in.failed() ||
+        count > in.remaining() / (kRecordHead + sizeof(std::uint64_t)))
         return refuse(log::format(
             path, " is corrupt (live-point count ", count, ")"));
 
-    library.points_.resize(count);
-    std::vector<std::uint8_t> prev;
+    // The chain is kept exactly as it sits in the file; one walk
+    // validates every record over one rolling state buffer.
+    const std::size_t chainSize = in.remaining();
+    library.chain_.bytes(in.bytes(chainSize), chainSize);
+    const std::uint8_t *chain = library.chain_.buffer().data();
+    util::BinaryReader records(chain, chainSize);
+    std::vector<std::uint8_t> state;
+    LivePoint parsed;
     for (std::uint64_t i = 0; i < count; ++i) {
-        LivePoint &point = library.points_[i];
-        point.unitIndex = in.u64();
-        point.position = in.u64();
-        const std::uint64_t checksum = in.u64();
-        const std::vector<std::uint8_t> delta = in.vecU8();
-        if (in.failed())
+        const std::uint8_t *head = records.bytes(kRecordHead);
+        util::BinaryReader fields(head, head ? kRecordHead : 0);
+        const std::uint64_t unitIndex = fields.u64();
+        const std::uint64_t position = fields.u64();
+        const std::uint64_t checksum = fields.u64();
+        const std::uint64_t deltaSize = fields.u64();
+        const std::uint8_t *delta = records.bytes(deltaSize);
+        if (!delta)
             return refuse(log::format(
                 path, " is truncated or has trailing garbage"));
-
-        std::string deltaError;
-        const auto raw = util::deltaDecode(prev, delta, &deltaError);
-        if (!raw)
-            return refuse(log::format(path, " is corrupt (live-point ",
-                                      i, ": ", deltaError, ")"));
-        if (util::fnv1a(raw->data(), raw->size()) != checksum)
+        if (recordFnv(head, delta, deltaSize) != checksum)
             return refuse(log::format(
                 path, " is corrupt (live-point ", i,
-                " fails its state checksum)"));
+                " fails its record checksum)"));
 
-        util::BinaryReader state(*raw);
-        point.arch.read(state);
-        point.timing.read(state);
-        if (state.failed() || state.remaining() != 0)
+        std::string deltaError;
+        if (!util::deltaApply(state, delta, deltaSize, &deltaError))
+            return refuse(log::format(path, " is corrupt (live-point ",
+                                      i, ": ", deltaError, ")"));
+        util::BinaryReader stateIn(state.data(), state.size());
+        parsed.arch.read(stateIn);
+        parsed.timing.read(stateIn);
+        if (stateIn.failed() || stateIn.remaining() != 0)
             return refuse(log::format(
                 path, " is corrupt (live-point ", i,
                 " has a malformed state)"));
@@ -391,20 +484,20 @@ LivePointLibrary::load(const std::string &path,
         const std::uint64_t wantIdx =
             stored.sampling.offset + i * stored.sampling.interval;
         const bool onGrid =
-            point.unitIndex == wantIdx &&
-            point.unitIndex <= ~0ull / stored.sampling.unitSize &&
-            point.position <=
-                point.unitIndex * stored.sampling.unitSize &&
-            (i == 0 ||
-             point.position >= library.points_[i - 1].position) &&
-            point.position <= library.streamLength_;
+            unitIndex == wantIdx &&
+            unitIndex <= ~0ull / stored.sampling.unitSize &&
+            position <= unitIndex * stored.sampling.unitSize &&
+            (i == 0 || position >= library.records_.back().position) &&
+            position <= library.streamLength_;
         if (!onGrid)
             return refuse(log::format(
                 path, " is corrupt (live-point ", i,
                 " is off the sampling grid)"));
-        prev = *raw;
+        library.indexRecord(unitIndex, position,
+                            static_cast<std::size_t>(delta - chain),
+                            static_cast<std::size_t>(deltaSize), state);
     }
-    if (in.failed() || in.remaining() != 0)
+    if (records.remaining() != 0)
         return refuse(log::format(
             path, " is truncated or has trailing garbage"));
     return library;
@@ -447,19 +540,27 @@ SystematicSampler::runAnytime(const SessionFactory &factory,
     while (processed < n && !stopped) {
         const std::size_t end =
             std::min<std::size_t>(n, processed + batch);
-        // Each chunk job owns one session and writes only its own
-        // units' slots; pool.wait() publishes them all, so the batch
-        // is bit-identical at any thread count.
-        for (std::size_t c = processed; c < end; c += chunk) {
+        // The batch's units are handed out in stream order, so each
+        // job's cursor walks its chain span forward once. Each chunk
+        // job owns one session and writes only its own units' slots;
+        // pool.wait() publishes them all, so the batch is
+        // bit-identical at any thread count.
+        std::vector<std::uint32_t> units(order.begin() + processed,
+                                         order.begin() + end);
+        std::sort(units.begin(), units.end());
+        for (std::size_t c = 0; c < units.size(); c += chunk) {
             const std::size_t cEnd =
-                std::min<std::size_t>(end, c + chunk);
-            pool.submit([&samples, &order, &library, &factory, config,
+                std::min<std::size_t>(units.size(), c + chunk);
+            pool.submit([&samples, &units, &library, &factory, config,
                          c, cEnd] {
                 std::unique_ptr<SimSession> session = factory();
-                for (std::size_t i = c; i < cEnd; ++i)
-                    measureLivePoint(*session, config,
-                                     library.at(order[i]),
-                                     samples[order[i]]);
+                LivePointLibrary::Cursor cursor(library);
+                LivePoint point;
+                for (std::size_t i = c; i < cEnd; ++i) {
+                    cursor.materialize(units[i], point);
+                    measureLivePoint(*session, config, point,
+                                     samples[units[i]]);
+                }
             });
         }
         pool.wait();
@@ -594,10 +695,13 @@ SystematicSampler::measureUnits(SimSession &session,
     // slice folds exactly like a shard slice: stream-order replay,
     // bit-identical to the serial loop over the same units.
     SliceResult r;
+    LivePointLibrary::Cursor cursor(library);
+    LivePoint point;
     for (std::uint64_t i = firstUnit; i < firstUnit + unitCount;
          ++i) {
         UnitSample sample;
-        measureLivePoint(session, config_, library.at(i), sample);
+        cursor.materialize(i, point);
+        measureLivePoint(session, config_, point, sample);
         if (sample.hasObs)
             r.obs.push_back(sample.obs);
         r.measured += sample.measured;

@@ -1,11 +1,14 @@
 /**
  * @file
  * Tests for live-points (core/livepoint.hh,
- * docs/checkpoint-format.md § Version 2): delta-codec roundtrip
- * byte-identity and its refusal matrix; `.smlp` save/load
+ * docs/checkpoint-format.md § Live-point libraries): delta-codec
+ * roundtrip byte-identity and its refusal matrix; `.smlp` save/load
  * roundtrips and the library's own refusals (truncated, corrupt,
  * version-bumped, mis-keyed, off-grid files are REJECTED with a
- * diagnostic, never loaded); same-seed shuffle reproducibility;
+ * diagnostic, never loaded); on-demand materialization of every
+ * unit, across keyframe boundaries, from several pool threads; a
+ * previous-version file in the store refused and recaptured;
+ * same-seed shuffle reproducibility;
  * the early-stop estimate landing inside its confidence interval
  * of the full-run estimate; and the completion-mode bar —
  * runAnytime with epsilon = 0 must fold to an estimate
@@ -13,6 +16,7 @@
  * TSan in CI to guard the batch-dispatch/pool handoff.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -29,6 +33,7 @@
 #include "uarch/config.hh"
 #include "util/binary_io.hh"
 #include "util/delta_codec.hh"
+#include "util/rng.hh"
 #include "workloads/benchmark.hh"
 
 #include "check.hh"
@@ -71,6 +76,16 @@ resealChecksum(const std::string &path)
         bytes[payload + i] =
             static_cast<std::uint8_t>(sum >> (8 * i));
     writeFileBytes(path, bytes);
+}
+
+/** The raw state of @p point: ArchState then TimingState. */
+std::vector<std::uint8_t>
+stateBytes(const core::LivePoint &point)
+{
+    util::BinaryWriter out;
+    point.arch.write(out);
+    point.timing.write(out);
+    return out.buffer();
 }
 
 /** Roundtrip @p data against @p base and demand byte identity. */
@@ -229,15 +244,18 @@ testLibraryCaptureGeometry()
 
     // One live-point per grid unit, at most W before its unit, in
     // stream order.
+    core::LivePointLibrary::Cursor cursor(library);
+    core::LivePoint point;
+    std::uint64_t lastPosition = 0;
     for (std::size_t i = 0; i < library.unitCount(); ++i) {
-        const core::LivePoint &point = library.at(i);
+        cursor.materialize(i, point);
         CHECK_EQ(point.unitIndex, sc.offset + i * sc.interval);
         const std::uint64_t unitStart =
             point.unitIndex * sc.unitSize;
         CHECK(point.position <= unitStart);
         CHECK(point.position + sc.detailedWarming >= unitStart);
-        if (i)
-            CHECK(point.position >= library.at(i - 1).position);
+        CHECK(point.position >= lastPosition);
+        lastPosition = point.position;
     }
 }
 
@@ -269,16 +287,15 @@ testLibraryRoundtripAndRefusals()
     CHECK_EQ(error, std::string());
     CHECK_EQ(loaded->streamLength(), library.streamLength());
     CHECK_EQ(loaded->unitCount(), library.unitCount());
+    core::LivePointLibrary::Cursor saved(library), back(*loaded);
+    core::LivePoint a, b;
     for (std::size_t i = 0; i < library.unitCount(); ++i) {
-        CHECK_EQ(loaded->at(i).unitIndex, library.at(i).unitIndex);
-        CHECK_EQ(loaded->at(i).position, library.at(i).position);
-        util::BinaryWriter a, b;
-        library.at(i).arch.write(a);
-        library.at(i).timing.write(a);
-        loaded->at(i).arch.write(b);
-        loaded->at(i).timing.write(b);
-        if (!(a.buffer() == b.buffer())) {
-            CHECK(a.buffer() == b.buffer());
+        saved.materialize(i, a);
+        back.materialize(i, b);
+        CHECK_EQ(b.unitIndex, a.unitIndex);
+        CHECK_EQ(b.position, a.position);
+        if (stateBytes(a) != stateBytes(b)) {
+            CHECK(stateBytes(a) == stateBytes(b));
             break; // one diagnostic is enough.
         }
     }
@@ -317,7 +334,7 @@ testLibraryRoundtripAndRefusals()
     // Version bump: a future format must refuse, not misparse.
     {
         std::vector<std::uint8_t> bad = good;
-        bad[8] = 4;
+        bad[8] = core::kLivePointFormatVersion + 1;
         writeFileBytes(victim, bad);
         resealChecksum(victim);
         refuses(victim);
@@ -341,9 +358,9 @@ testLibraryRoundtripAndRefusals()
         refuses(victim);
     }
 
-    // Record-state corruption: flip one byte mid-payload and
-    // reseal the FILE checksum — the per-record state checksum (or
-    // the codec itself) must still pin the damage.
+    // Record corruption: flip one byte mid-payload and reseal the
+    // FILE checksum — the per-record checksum must still pin the
+    // damage.
     {
         std::vector<std::uint8_t> bad = good;
         bad[bad.size() / 2] ^= 0x20;
@@ -418,17 +435,163 @@ testStoreRoundtrip()
         core::LivePointLibrary::build(solo, sc);
     CHECK_EQ(multi->unitCount(), direct.unitCount());
     CHECK_EQ(multi->streamLength(), direct.streamLength());
-    bool statesMatch = true;
-    for (std::size_t i = 0;
-         statesMatch && i < direct.unitCount(); ++i) {
-        util::BinaryWriter a, b;
-        multi->at(i).arch.write(a);
-        multi->at(i).timing.write(a);
-        direct.at(i).arch.write(b);
-        direct.at(i).timing.write(b);
-        statesMatch = a.buffer() == b.buffer();
+    // The per-config chains are byte-identical too, so the files
+    // are: one serialize under the same key compares them all.
+    util::BinaryWriter multiBytes, directBytes;
+    multi->serialize(key16, multiBytes);
+    direct.serialize(key16, directBytes);
+    CHECK(multiBytes.buffer() == directBytes.buffer());
+}
+
+/**
+ * Materialize every unit of @p library in @p order from @p threads
+ * pool threads and compare each against its capture-time snapshot:
+ * identity, position and raw state bytes. Jobs alternate between a
+ * rolling Cursor and the one-shot const materialize().
+ */
+void
+checkMaterializeAll(const core::LivePointLibrary &library,
+                    const std::vector<core::LivePoint> &captured,
+                    const std::vector<std::uint32_t> &order,
+                    std::size_t threads)
+{
+    std::vector<char> matches(order.size(), 0);
+    exec::ThreadPool pool(threads);
+    constexpr std::size_t kChunk = 7;
+    for (std::size_t c = 0; c < order.size(); c += kChunk) {
+        const std::size_t end = std::min(order.size(), c + kChunk);
+        const bool rolling = (c / kChunk) % 2 == 0;
+        pool.submit([&, c, end, rolling] {
+            core::LivePointLibrary::Cursor cursor(library);
+            core::LivePoint point;
+            for (std::size_t i = c; i < end; ++i) {
+                const std::uint32_t unit = order[i];
+                if (rolling)
+                    cursor.materialize(unit, point);
+                else
+                    library.materialize(unit, point);
+                const core::LivePoint &want = captured[unit];
+                matches[unit] =
+                    point.unitIndex == want.unitIndex &&
+                    point.position == want.position &&
+                    stateBytes(point) == stateBytes(want);
+            }
+        });
     }
-    CHECK(statesMatch);
+    pool.wait();
+    CHECK_EQ(static_cast<std::size_t>(
+                 std::count(matches.begin(), matches.end(), 1)),
+             order.size());
+}
+
+void
+testMaterializeOnDemand()
+{
+    // Caches and predictor shrunk to a few KB, so fsm-1's per-unit
+    // churn spans several keyframes at this grid while every
+    // capture-time snapshot stays small enough to keep.
+    auto config = uarch::MachineConfig::eightWay();
+    config.mem.l1i = {1024, 2, 64, 1};
+    config.mem.l1d = {1024, 2, 64, 2};
+    config.mem.l2 = {4096, 4, 64, 12};
+    config.bpred = {8, 64, 4};
+    const auto spec =
+        workloads::findBenchmark("fsm-1", workloads::Scale::Mini);
+    const core::SamplingConfig sc = defaultSampling();
+    const core::LibraryKey key = core::LibraryKey::of(spec, config, sc);
+
+    // The capture-time snapshots, exactly as the sink saw them.
+    std::vector<core::LivePoint> captured;
+    core::SimSession session(spec, config);
+    const core::LivePointLibrary library = core::LivePointLibrary::build(
+        session, sc, [&captured](std::size_t, const core::LivePoint &p) {
+            captured.push_back(p);
+        });
+    CHECK_EQ(captured.size(), library.unitCount());
+    // Units on both sides of every keyframe boundary are among the
+    // units checked below: there must be boundaries to cross.
+    CHECK(library.keyframeCount() > 1);
+
+    const std::string path = std::string(kDir) + "/materialize.smlp";
+    std::string error;
+    CHECK(library.save(key, path, &error));
+    const auto loaded = core::LivePointLibrary::load(path, key, &error);
+    CHECK(loaded.has_value());
+    if (!loaded)
+        return;
+    CHECK_EQ(loaded->keyframeCount(), library.keyframeCount());
+
+    std::vector<std::uint32_t> order(library.unitCount());
+    for (std::uint32_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    Xoshiro256StarStar rng(0x6d617465ull);
+    for (std::size_t i = order.size(); i > 1; --i)
+        std::swap(order[i - 1], order[rng.below(i)]);
+
+    for (const std::size_t threads :
+         {std::size_t(1), std::size_t(2), std::size_t(5)}) {
+        checkMaterializeAll(library, captured, order, threads);
+        checkMaterializeAll(*loaded, captured, order, threads);
+    }
+}
+
+void
+testPreviousVersionRecaptured()
+{
+    // A store entry written by an older format version is refused
+    // with the version diagnostic, counted as a refusal, and
+    // recaptured — and the estimate does not move a bit.
+    const auto config = uarch::MachineConfig::eightWay();
+    const auto spec =
+        workloads::findBenchmark("sort-1", workloads::Scale::Mini);
+    auto factory = [&spec, &config] {
+        return std::make_unique<core::SimSession>(spec, config);
+    };
+    std::uint64_t length;
+    {
+        core::SimSession probe(spec, config);
+        length =
+            probe.fastForward(~0ull >> 1, core::WarmingMode::None);
+    }
+    core::ProcedureConfig pc;
+    pc.nInit = 200;
+    const core::SmartsProcedure procedure(pc);
+    core::CheckpointStore store(std::string(kDir) + "/recapture");
+    exec::ThreadPool pool(2);
+
+    const core::AnytimeResult cold = procedure.estimateAnytime(
+        factory, spec, config, length, pool, store);
+
+    core::SamplingConfig sc;
+    sc.unitSize = pc.unitSize;
+    sc.detailedWarming = pc.detailedWarming;
+    sc.warming = pc.warming;
+    sc.interval = core::SamplingConfig::chooseInterval(
+        length, pc.unitSize, pc.nInit);
+    const core::LibraryKey key = core::LibraryKey::of(spec, config, sc);
+    const std::string path = store.livePointPathFor(key);
+    CHECK(fs::exists(path));
+
+    // The version field is the u32 after the 8-byte magic.
+    std::vector<std::uint8_t> bytes = readFileBytes(path);
+    bytes[8] = 3;
+    writeFileBytes(path, bytes);
+    resealChecksum(path);
+    std::string why;
+    CHECK(!core::LivePointLibrary::load(path, key, &why).has_value());
+    CHECK(why.find("format version 3") != std::string::npos);
+
+    const core::StoreCounters before = store.counters();
+    const core::AnytimeResult recaptured = procedure.estimateAnytime(
+        factory, spec, config, length, pool, store);
+    const core::StoreCounters after = store.counters();
+    CHECK_EQ(after.refusals, before.refusals + 1);
+    CHECK_EQ(recaptured.unitsMeasured, cold.unitsMeasured);
+    CHECK(fingerprint(recaptured.estimate) == fingerprint(cold.estimate));
+
+    // The recapture replaced the file: the next lookup is a hit.
+    CHECK(store.tryLoadLivePoints(key).has_value());
+    CHECK_EQ(store.counters().hits, after.hits + 1);
 }
 
 void
@@ -723,6 +886,8 @@ main()
     testLibraryCaptureGeometry();
     testLibraryRoundtripAndRefusals();
     testStoreRoundtrip();
+    testMaterializeOnDemand();
+    testPreviousVersionRecaptured();
     testAnytimeCompletionBitIdentical();
     testLeapfrogColdOverlapBitIdentical();
     testShuffleReproducibilityAndEarlyStop();
