@@ -10,6 +10,7 @@
 #define SMARTS_BPRED_BRANCH_UNIT_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sisa/encoding.hh"
@@ -24,6 +25,30 @@ struct BpredConfig
     std::uint32_t btbEntries = 512;
     std::uint32_t rasEntries = 8;
 };
+
+/** Largest gshare history: a 16 MiB counter table. */
+constexpr std::uint32_t kMaxHistoryBits = 24;
+
+/**
+ * Empty when @p config is a geometry BranchUnit can index with
+ * masks: at most kMaxHistoryBits of history, and nonzero
+ * power-of-two BTB and RAS sizes. Otherwise, why not.
+ */
+inline std::string
+validateBpredConfig(const BpredConfig &config)
+{
+    auto pow2 = [](std::uint32_t v) { return v && !(v & (v - 1)); };
+    if (config.historyBits > kMaxHistoryBits)
+        return log::format("history of ", config.historyBits,
+                           " bits exceeds ", kMaxHistoryBits);
+    if (!pow2(config.btbEntries))
+        return log::format("BTB size ", config.btbEntries,
+                           " is not a nonzero power of two");
+    if (!pow2(config.rasEntries))
+        return log::format("RAS size ", config.rasEntries,
+                           " is not a nonzero power of two");
+    return {};
+}
 
 struct Prediction
 {
@@ -85,6 +110,12 @@ class BranchUnit
   public:
     explicit BranchUnit(const BpredConfig &config) : config_(config)
     {
+        const std::string why = validateBpredConfig(config);
+        if (!why.empty())
+            SMARTS_FATAL("branch unit: ", why);
+        tableMask_ = (1u << config.historyBits) - 1u;
+        btbMask_ = config.btbEntries - 1;
+        rasMask_ = config.rasEntries - 1;
         counters_.assign(std::size_t(1) << config.historyBits, 1);
         btbTags_.assign(config.btbEntries, 0);
         btbTargets_.assign(config.btbEntries, 0);
@@ -110,7 +141,7 @@ class BranchUnit
         } else if (di.op == sisa::Opcode::JR) {
             p.taken = true;
             if (di.a == 31 && rasTop_ > 0) {
-                p.target = ras_[--rasTop_ % ras_.size()];
+                p.target = ras_[--rasTop_ & rasMask_];
             } else {
                 const std::uint32_t slot = btbIndex(pc);
                 p.target =
@@ -137,7 +168,7 @@ class BranchUnit
                 --ctr;
             history_ = (history_ << 1) | (taken ? 1u : 0u);
         } else if (di.op == sisa::Opcode::JAL && di.a != 0) {
-            ras_[rasTop_++ % ras_.size()] = pc + 4;
+            ras_[rasTop_++ & rasMask_] = pc + 4;
         } else if (di.op == sisa::Opcode::JR) {
             const std::uint32_t slot = btbIndex(pc);
             btbTags_[slot] = pc;
@@ -203,18 +234,19 @@ class BranchUnit
     std::uint32_t
     tableIndex(std::uint32_t pc) const
     {
-        const std::uint32_t mask =
-            (1u << config_.historyBits) - 1u;
-        return ((pc >> 2) ^ history_) & mask;
+        return ((pc >> 2) ^ history_) & tableMask_;
     }
 
     std::uint32_t
     btbIndex(std::uint32_t pc) const
     {
-        return (pc >> 2) % config_.btbEntries;
+        return (pc >> 2) & btbMask_;
     }
 
     BpredConfig config_;
+    std::uint32_t tableMask_ = 0; ///< 2^historyBits - 1.
+    std::uint32_t btbMask_ = 0;   ///< btbEntries - 1 (a power of two).
+    std::uint32_t rasMask_ = 0;   ///< rasEntries - 1 (a power of two).
     std::vector<std::uint8_t> counters_;
     std::vector<std::uint32_t> btbTags_;
     std::vector<std::uint32_t> btbTargets_;

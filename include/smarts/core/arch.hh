@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sisa/encoding.hh"
@@ -81,7 +82,13 @@ class ArchCore
 {
   public:
     explicit ArchCore(const workloads::BenchmarkSpec &spec)
-        : program_(workloads::buildProgram(spec)),
+        : ArchCore(workloads::buildProgram(spec))
+    {
+    }
+
+    /** Run a given program image (code at kCodeBase, data at kDataBase). */
+    explicit ArchCore(workloads::Program program)
+        : program_(std::move(program)),
           dataMask_(program_.dataBytes - 1),
           pc_(program_.entryPc)
     {
@@ -93,119 +100,70 @@ class ArchCore
             decoded_.push_back(sisa::decode(word));
     }
 
-    /** Execute one instruction architecturally. False at HALT/end. */
+    /**
+     * The interpreter: execute up to @p maxInsts instructions,
+     * reporting each one to @p sink, and return how many ran (fewer
+     * only at HALT or end of code). PC, registers and the data
+     * pointer live in locals for the whole call and are written back
+     * on exit, so a call may stop anywhere and the next one resumes
+     * exactly there.
+     *
+     * A Sink is a compile-time visitor with four events, called in
+     * this order for each executed instruction (HALT raises none):
+     *
+     *   void fetch(std::uint32_t pc);   every instruction, first;
+     *   void load(std::uint32_t addr);  then LD, or
+     *   void store(std::uint32_t addr); ST, or
+     *   void branch(std::uint32_t pc, const sisa::DecodedInst &di,
+     *               bool taken, std::uint32_t nextPc);  BEQ..JR.
+     *
+     * ALU ops and NOP raise fetch only. Each simulation mode is one
+     * sink (core/timing.hh), so every mode shares this one body.
+     */
+    template <typename Sink>
+    std::uint64_t
+    run(std::uint64_t maxInsts, Sink &&sink)
+    {
+        std::uint32_t regs[32];
+        std::copy(std::begin(regs_), std::end(regs_), regs);
+        const std::uint64_t executed = execute(maxInsts, sink, regs);
+        std::copy(std::begin(regs), std::end(regs), regs_);
+        return executed;
+    }
+
+    /**
+     * Execute one instruction and describe it in @p info: the
+     * per-instruction form of run(), for callers that interleave
+     * several cores instruction by instruction. False at HALT/end.
+     */
     bool
     step(StepInfo &info)
     {
-        using sisa::Opcode;
-        if (finished_)
-            return false;
-        const std::uint32_t idx = (pc_ - workloads::kCodeBase) >> 2;
-        if (idx >= decoded_.size()) {
-            finished_ = true;
-            return false;
-        }
-        const sisa::DecodedInst di = decoded_[idx];
-        info.di = di;
-        info.pc = pc_;
-        info.taken = false;
-        std::uint32_t next = pc_ + 4;
+        struct Capture
+        {
+            StepInfo &info;
 
-        auto setReg = [this](unsigned r, std::uint32_t v) {
-            if (r)
-                regs_[r] = v;
+            void
+            fetch(std::uint32_t pc)
+            {
+                info.pc = pc;
+                info.taken = false;
+            }
+
+            void load(std::uint32_t addr) { info.memAddr = addr; }
+            void store(std::uint32_t addr) { info.memAddr = addr; }
+
+            void
+            branch(std::uint32_t, const sisa::DecodedInst &, bool taken,
+                   std::uint32_t)
+            {
+                info.taken = taken;
+            }
         };
-        const std::uint32_t vb = regs_[di.b];
-        const std::uint32_t uimm =
-            static_cast<std::uint32_t>(di.imm) & 0xffffu;
-
-        switch (di.op) {
-          case Opcode::ADD:
-            setReg(di.a, vb + regs_[di.c]);
-            break;
-          case Opcode::SUB:
-            setReg(di.a, vb - regs_[di.c]);
-            break;
-          case Opcode::MUL:
-            setReg(di.a, vb * regs_[di.c]);
-            break;
-          case Opcode::AND:
-            setReg(di.a, vb & regs_[di.c]);
-            break;
-          case Opcode::OR:
-            setReg(di.a, vb | regs_[di.c]);
-            break;
-          case Opcode::XOR:
-            setReg(di.a, vb ^ regs_[di.c]);
-            break;
-          case Opcode::SLT:
-            setReg(di.a, static_cast<std::int32_t>(vb) <
-                                 static_cast<std::int32_t>(regs_[di.c])
-                             ? 1
-                             : 0);
-            break;
-          case Opcode::ADDI:
-            setReg(di.a, vb + static_cast<std::uint32_t>(di.imm));
-            break;
-          case Opcode::ANDI:
-            setReg(di.a, vb & uimm);
-            break;
-          case Opcode::ORI:
-            setReg(di.a, vb | uimm);
-            break;
-          case Opcode::SHLI:
-            setReg(di.a, vb << (di.imm & 31));
-            break;
-          case Opcode::SHRI:
-            setReg(di.a, vb >> (di.imm & 31));
-            break;
-          case Opcode::LUI:
-            setReg(di.a, uimm << 16);
-            break;
-          case Opcode::LD:
-            info.memAddr = vb + static_cast<std::uint32_t>(di.imm);
-            setReg(di.a, loadWord(info.memAddr));
-            break;
-          case Opcode::ST:
-            info.memAddr = vb + static_cast<std::uint32_t>(di.imm);
-            storeWord(info.memAddr, regs_[di.a]);
-            break;
-          case Opcode::BEQ:
-            info.taken = regs_[di.a] == vb;
-            break;
-          case Opcode::BNE:
-            info.taken = regs_[di.a] != vb;
-            break;
-          case Opcode::BLT:
-            info.taken = static_cast<std::int32_t>(regs_[di.a]) <
-                         static_cast<std::int32_t>(vb);
-            break;
-          case Opcode::BGE:
-            info.taken = static_cast<std::int32_t>(regs_[di.a]) >=
-                         static_cast<std::int32_t>(vb);
-            break;
-          case Opcode::JAL:
-            info.taken = true;
-            setReg(di.a, pc_ + 4);
-            next = di.branchTarget(pc_);
-            break;
-          case Opcode::JR:
-            info.taken = true;
-            next = regs_[di.a];
-            break;
-          case Opcode::HALT:
-            finished_ = true;
+        if (!execute(1, Capture{info}, regs_))
             return false;
-          case Opcode::NOP:
-          default:
-            break;
-        }
-        if (di.isCondBranch() && info.taken)
-            next = di.branchTarget(pc_);
-
-        info.nextPc = next;
-        pc_ = next;
-        ++instCount_;
+        info.di = decoded_[(info.pc - workloads::kCodeBase) >> 2];
+        info.nextPc = pc_;
         return true;
     }
 
@@ -254,19 +212,135 @@ class ArchCore
     }
 
   private:
-    std::uint32_t
-    loadWord(std::uint32_t addr) const
+    /**
+     * run()'s body over the register file @p r (a local copy in
+     * run(), the member itself in step()). Writes to r[0] land and
+     * are undone after the instruction: cheaper than testing the
+     * destination of every write.
+     */
+    template <typename Sink>
+    std::uint64_t
+    execute(std::uint64_t maxInsts, Sink &&sink, std::uint32_t *r)
     {
-        return program_
-            .data[((addr - workloads::kDataBase) & dataMask_) >> 2];
-    }
+        using sisa::Opcode;
+        if (finished_)
+            return 0;
+        const sisa::DecodedInst *const code = decoded_.data();
+        const std::size_t codeSize = decoded_.size();
+        std::uint32_t *const data = program_.data.data();
+        const std::uint32_t dataMask = dataMask_;
+        auto word = [data, dataMask](std::uint32_t addr)
+            -> std::uint32_t & {
+            return data[((addr - workloads::kDataBase) & dataMask) >>
+                        2];
+        };
 
-    void
-    storeWord(std::uint32_t addr, std::uint32_t value)
-    {
-        program_
-            .data[((addr - workloads::kDataBase) & dataMask_) >> 2] =
-            value;
+        std::uint32_t pc = pc_;
+        std::uint64_t executed = 0;
+        while (executed < maxInsts) {
+            const std::uint32_t idx = (pc - workloads::kCodeBase) >> 2;
+            if (idx >= codeSize || code[idx].op == Opcode::HALT) {
+                finished_ = true;
+                break;
+            }
+            const sisa::DecodedInst di = code[idx];
+            sink.fetch(pc);
+            const std::uint32_t vb = r[di.b];
+            const std::uint32_t uimm =
+                static_cast<std::uint32_t>(di.imm) & 0xffffu;
+            const std::uint32_t simm =
+                static_cast<std::uint32_t>(di.imm);
+            std::uint32_t next = pc + 4;
+            auto condBranch = [&](bool taken) {
+                next = taken ? pc + simm : next;
+                sink.branch(pc, di, taken, next);
+            };
+
+            switch (di.op) {
+              case Opcode::ADD:
+                r[di.a] = vb + r[di.c];
+                break;
+              case Opcode::SUB:
+                r[di.a] = vb - r[di.c];
+                break;
+              case Opcode::MUL:
+                r[di.a] = vb * r[di.c];
+                break;
+              case Opcode::AND:
+                r[di.a] = vb & r[di.c];
+                break;
+              case Opcode::OR:
+                r[di.a] = vb | r[di.c];
+                break;
+              case Opcode::XOR:
+                r[di.a] = vb ^ r[di.c];
+                break;
+              case Opcode::SLT:
+                r[di.a] = static_cast<std::int32_t>(vb) <
+                                  static_cast<std::int32_t>(r[di.c])
+                              ? 1
+                              : 0;
+                break;
+              case Opcode::ADDI:
+                r[di.a] = vb + simm;
+                break;
+              case Opcode::ANDI:
+                r[di.a] = vb & uimm;
+                break;
+              case Opcode::ORI:
+                r[di.a] = vb | uimm;
+                break;
+              case Opcode::SHLI:
+                r[di.a] = vb << (di.imm & 31);
+                break;
+              case Opcode::SHRI:
+                r[di.a] = vb >> (di.imm & 31);
+                break;
+              case Opcode::LUI:
+                r[di.a] = uimm << 16;
+                break;
+              case Opcode::LD:
+                sink.load(vb + simm);
+                r[di.a] = word(vb + simm);
+                break;
+              case Opcode::ST:
+                sink.store(vb + simm);
+                word(vb + simm) = r[di.a];
+                break;
+              case Opcode::BEQ:
+                condBranch(r[di.a] == vb);
+                break;
+              case Opcode::BNE:
+                condBranch(r[di.a] != vb);
+                break;
+              case Opcode::BLT:
+                condBranch(static_cast<std::int32_t>(r[di.a]) <
+                           static_cast<std::int32_t>(vb));
+                break;
+              case Opcode::BGE:
+                condBranch(static_cast<std::int32_t>(r[di.a]) >=
+                           static_cast<std::int32_t>(vb));
+                break;
+              case Opcode::JAL:
+                r[di.a] = pc + 4;
+                next = di.branchTarget(pc);
+                sink.branch(pc, di, true, next);
+                break;
+              case Opcode::JR:
+                next = r[di.a];
+                sink.branch(pc, di, true, next);
+                break;
+              case Opcode::NOP:
+              default:
+                break;
+            }
+            r[0] = 0;
+            pc = next;
+            ++executed;
+        }
+        pc_ = pc;
+        instCount_ += executed;
+        return executed;
     }
 
     workloads::Program program_;

@@ -24,6 +24,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 
 #include "bpred/branch_unit.hh"
 #include "core/arch.hh"
@@ -54,6 +55,29 @@ warmsBpred(WarmingMode mode)
 {
     return mode == WarmingMode::BpredOnly ||
            mode == WarmingMode::Functional;
+}
+
+/**
+ * Call @p fn with @p mode as a std::integral_constant: the one place
+ * a runtime warming mode becomes a compile-time one (and so picks a
+ * TimingModel::WarmSink instantiation).
+ */
+template <typename Fn>
+decltype(auto)
+withWarmingMode(WarmingMode mode, Fn &&fn)
+{
+    using M = WarmingMode;
+    switch (mode) {
+      case M::CachesOnly:
+        return fn(std::integral_constant<M, M::CachesOnly>{});
+      case M::BpredOnly:
+        return fn(std::integral_constant<M, M::BpredOnly>{});
+      case M::Functional:
+        return fn(std::integral_constant<M, M::Functional>{});
+      case M::None:
+        break;
+    }
+    return fn(std::integral_constant<M, M::None>{});
 }
 
 /** One detailed-simulation segment's measurements. */
@@ -136,14 +160,11 @@ class TimingModel
     static constexpr double kFixedOne = 65536.0;
 
     explicit TimingModel(const uarch::MachineConfig &config)
-        : config_(config),
+        : config_(uarch::checkedGeometry(config)),
           hierarchy_(config.mem),
           bpred_(config.bpred)
     {
-        fetchLineShift_ = 0;
-        while ((1u << fetchLineShift_) < config_.mem.l1i.lineBytes)
-            ++fetchLineShift_;
-
+        fetchLineShift_ = mem::log2Exact(config_.mem.l1i.lineBytes);
         invWidthFx_ = toFixed(1.0 / config.width);
         loadStallFx_ = toFixed(config.loadStallFactor);
         storeStallFx_ = toFixed(config.storeStallFactor);
@@ -157,159 +178,136 @@ class TimingModel
         eBpredFx_ = toFixed(config.energy.bpredAccess);
     }
 
-    /** Consume one instruction in a fast-forward (warming) mode. */
-    void
-    warm(const StepInfo &info, bool warmCaches, bool warmBpred)
+    /**
+     * ArchCore::run sinks, one per simulation mode (core/arch.hh
+     * documents the event order). A sink is a reference to its
+     * model, so building one per call costs nothing.
+     *
+     * WarmSink<Mode> fast-forwards: it counts loads, stores and
+     * branches in every mode and, per @p Mode, warms the caches and
+     * TLBs and/or trains the predictors in program order.
+     */
+    template <WarmingMode Mode>
+    struct WarmSink
     {
-        if (warmCaches) {
-            const std::uint32_t line = info.pc >> fetchLineShift_;
-            if (line != lastFetchLine_) {
-                lastFetchLine_ = line;
-                hierarchy_.warmFetch(info.pc);
-            }
-            if (info.di.isLoad())
-                hierarchy_.warmLoad(info.memAddr);
-            else if (info.di.isStore())
-                hierarchy_.warmStore(info.memAddr);
+        TimingModel &m;
+
+        void
+        fetch(std::uint32_t pc)
+        {
+            if constexpr (warmsCaches(Mode))
+                if (m.newFetchLine(pc))
+                    m.hierarchy_.warmFetch(pc);
         }
-        if (info.di.isLoad())
-            ++activity_.loads;
-        else if (info.di.isStore())
-            ++activity_.stores;
-        else if (info.di.isBranch()) {
-            ++activity_.branches;
-            if (warmBpred) {
+
+        void
+        load(std::uint32_t addr)
+        {
+            ++m.activity_.loads;
+            if constexpr (warmsCaches(Mode))
+                m.hierarchy_.warmLoad(addr);
+        }
+
+        void
+        store(std::uint32_t addr)
+        {
+            ++m.activity_.stores;
+            if constexpr (warmsCaches(Mode))
+                m.hierarchy_.warmStore(addr);
+        }
+
+        void
+        branch(std::uint32_t pc, const sisa::DecodedInst &di,
+               bool taken, std::uint32_t nextPc)
+        {
+            ++m.activity_.branches;
+            if constexpr (warmsBpred(Mode)) {
                 // Mirror the detailed core's RAS traffic: predict()
                 // pops on returns there, so warming must pop too or
                 // the stack depth drifts across warming gaps.
-                if (info.di.op == sisa::Opcode::JR && info.di.a == 31)
-                    bpred_.popReturn();
-                bpred_.update(info.pc, info.di, info.taken,
-                              info.nextPc);
+                if (di.op == sisa::Opcode::JR && di.a == 31)
+                    m.bpred_.popReturn();
+                m.bpred_.update(pc, di, taken, nextPc);
             }
         }
-    }
+    };
 
     /**
-     * Consume one instruction applying the EXACT state transitions
-     * of detailedStep() — fetch-line dedup, cache/TLB fills,
-     * predictor lookups and training, wrong-path I-cache pollution —
-     * while skipping the cycle/energy/latency bookkeeping. This is
-     * the checkpoint capture pass's fast path: after warmDetailed
+     * Applies the EXACT state transitions of DetailedSink — fetch-
+     * line dedup, cache/TLB fills, predictor lookups and training,
+     * wrong-path I-cache pollution — while skipping the cycle/
+     * energy/latency bookkeeping: functional warming, except that
+     * branches take the detailed core's predict-score-train path.
+     * This is the checkpoint capture pass's fast path: after it runs
      * over the instructions a serial run simulated in detail, every
      * microarchitectural structure is bit-identical to the serial
-     * run's, at a fraction of the cost.
-     *
-     * MUST stay in lockstep with detailedStep(): any state update
-     * added there needs its mirror here (tests/test_checkpoint.cc
-     * fails on divergence).
+     * run's, at a fraction of the cost. The shared transitions live
+     * in newFetchLine() and resolveBranch(), so the two sinks cannot
+     * drift apart (tests/test_checkpoint.cc also fails on
+     * divergence).
      */
-    void
-    warmDetailed(const StepInfo &info)
+    struct WarmDetailedSink : WarmSink<WarmingMode::Functional>
     {
-        const std::uint32_t line = info.pc >> fetchLineShift_;
-        if (line != lastFetchLine_) {
-            lastFetchLine_ = line;
-            hierarchy_.warmFetch(info.pc);
+        void
+        branch(std::uint32_t pc, const sisa::DecodedInst &di,
+               bool taken, std::uint32_t nextPc)
+        {
+            m.resolveBranch(pc, di, taken, nextPc);
         }
+    };
 
-        if (info.di.isLoad()) {
-            ++activity_.loads;
-            hierarchy_.warmLoad(info.memAddr);
-        } else if (info.di.isStore()) {
-            ++activity_.stores;
-            hierarchy_.warmStore(info.memAddr);
-        } else if (info.di.isBranch()) {
-            ++activity_.branches;
-            ++activity_.bpredLookups;
-            const bpred::Prediction p = bpred_.predict(info.pc, info.di);
-            const bool mispredict =
-                p.taken != info.taken ||
-                (info.taken && p.target != info.nextPc);
-            if (mispredict) {
-                ++activity_.bpredMispredicts;
-                if (config_.modelWrongPath) {
-                    const std::uint32_t wrong =
-                        p.taken ? p.target : info.pc + 4;
-                    for (std::uint32_t i = 0;
-                         i < config_.wrongPathFetches; ++i)
-                        hierarchy_.warmFetch(
-                            wrong + i * config_.mem.l1i.lineBytes);
-                    lastFetchLine_ = ~0u;
-                }
-            }
-            bpred_.update(info.pc, info.di, info.taken, info.nextPc);
-        }
-    }
-
-    /** Consume one instruction with the full detailed timing model. */
-    void
-    detailedStep(const StepInfo &info)
+    /** The full detailed timing and energy model. */
+    struct DetailedSink
     {
-        cyclesFx_ += invWidthFx_;
-        energyFx_ += ePerInstFx_;
+        TimingModel &m;
 
-        auto chargeMem = [&](const mem::MemResult &r) {
-            energyFx_ += eL1Fx_;
-            if (r.level != mem::ServedBy::L1)
-                energyFx_ += eL2Fx_;
-            if (r.level == mem::ServedBy::Memory)
-                energyFx_ += eMemFx_;
-        };
-
-        // Front end: one I-cache access per fetched line.
-        const std::uint32_t line = info.pc >> fetchLineShift_;
-        if (line != lastFetchLine_) {
-            lastFetchLine_ = line;
-            const mem::MemResult f = hierarchy_.fetch(info.pc);
-            chargeMem(f);
-            if (f.latency > config_.mem.l1i.latency)
-                cyclesFx_ += static_cast<std::uint64_t>(
-                                 f.latency - config_.mem.l1i.latency)
-                             << kFixedShift;
+        void
+        fetch(std::uint32_t pc)
+        {
+            m.cyclesFx_ += m.invWidthFx_;
+            m.energyFx_ += m.ePerInstFx_;
+            // Front end: one I-cache access per fetched line.
+            if (!m.newFetchLine(pc))
+                return;
+            const mem::MemResult f = m.hierarchy_.fetch(pc);
+            m.chargeMem(f);
+            const std::uint32_t l1 = m.config_.mem.l1i.latency;
+            if (f.latency > l1)
+                m.cyclesFx_ += static_cast<std::uint64_t>(f.latency - l1)
+                               << kFixedShift;
         }
 
-        if (info.di.isLoad()) {
-            ++activity_.loads;
-            const mem::MemResult r = hierarchy_.load(info.memAddr);
-            chargeMem(r);
-            if (r.latency > config_.mem.l1d.latency)
-                cyclesFx_ += (r.latency - config_.mem.l1d.latency) *
-                             loadStallFx_;
-        } else if (info.di.isStore()) {
-            ++activity_.stores;
-            const mem::MemResult r = hierarchy_.store(info.memAddr);
-            chargeMem(r);
-            if (r.latency > config_.mem.l1d.latency)
-                cyclesFx_ += (r.latency - config_.mem.l1d.latency) *
-                             storeStallFx_;
-        } else if (info.di.isBranch()) {
-            ++activity_.branches;
-            ++activity_.bpredLookups;
-            const bpred::Prediction p = bpred_.predict(info.pc, info.di);
-            energyFx_ += eBpredFx_;
-            const bool mispredict =
-                p.taken != info.taken ||
-                (info.taken && p.target != info.nextPc);
-            if (mispredict) {
-                ++activity_.bpredMispredicts;
-                cyclesFx_ += mispredictFx_;
-                if (config_.modelWrongPath) {
-                    // The front end ran down the predicted (wrong)
-                    // path: pollute the I-side and refetch after
-                    // the redirect.
-                    const std::uint32_t wrong =
-                        p.taken ? p.target : info.pc + 4;
-                    for (std::uint32_t i = 0;
-                         i < config_.wrongPathFetches; ++i)
-                        hierarchy_.warmFetch(
-                            wrong + i * config_.mem.l1i.lineBytes);
-                    lastFetchLine_ = ~0u;
-                }
-            }
-            bpred_.update(info.pc, info.di, info.taken, info.nextPc);
+        void
+        load(std::uint32_t addr)
+        {
+            ++m.activity_.loads;
+            const mem::MemResult r = m.hierarchy_.load(addr);
+            m.chargeMem(r);
+            const std::uint32_t l1 = m.config_.mem.l1d.latency;
+            if (r.latency > l1)
+                m.cyclesFx_ += (r.latency - l1) * m.loadStallFx_;
         }
-    }
+
+        void
+        store(std::uint32_t addr)
+        {
+            ++m.activity_.stores;
+            const mem::MemResult r = m.hierarchy_.store(addr);
+            m.chargeMem(r);
+            const std::uint32_t l1 = m.config_.mem.l1d.latency;
+            if (r.latency > l1)
+                m.cyclesFx_ += (r.latency - l1) * m.storeStallFx_;
+        }
+
+        void
+        branch(std::uint32_t pc, const sisa::DecodedInst &di,
+               bool taken, std::uint32_t nextPc)
+        {
+            m.energyFx_ += m.eBpredFx_;
+            if (m.resolveBranch(pc, di, taken, nextPc))
+                m.cyclesFx_ += m.mispredictFx_;
+        }
+    };
 
     /** Bracketing state for one detailed segment's measurements. */
     struct SegmentMark
@@ -387,6 +385,58 @@ class TimingModel
     }
 
   private:
+    /** Fetch-line dedup: true when @p pc starts a new I-cache line. */
+    bool
+    newFetchLine(std::uint32_t pc)
+    {
+        const std::uint32_t line = pc >> fetchLineShift_;
+        if (line == lastFetchLine_)
+            return false;
+        lastFetchLine_ = line;
+        return true;
+    }
+
+    void
+    chargeMem(const mem::MemResult &r)
+    {
+        energyFx_ += eL1Fx_;
+        if (r.level != mem::ServedBy::L1)
+            energyFx_ += eL2Fx_;
+        if (r.level == mem::ServedBy::Memory)
+            energyFx_ += eMemFx_;
+    }
+
+    /**
+     * The branch transitions the detailed core makes (and warm-as-
+     * detailed mirrors): predict, score, pollute the I-side down the
+     * predicted wrong path, train. True on a mispredict.
+     */
+    bool
+    resolveBranch(std::uint32_t pc, const sisa::DecodedInst &di,
+                  bool taken, std::uint32_t nextPc)
+    {
+        ++activity_.branches;
+        ++activity_.bpredLookups;
+        const bpred::Prediction p = bpred_.predict(pc, di);
+        const bool mispredict =
+            p.taken != taken || (taken && p.target != nextPc);
+        if (mispredict) {
+            ++activity_.bpredMispredicts;
+            if (config_.modelWrongPath) {
+                // The front end ran down the predicted (wrong) path:
+                // pollute the I-side and refetch after the redirect.
+                const std::uint32_t wrong = p.taken ? p.target : pc + 4;
+                for (std::uint32_t i = 0; i < config_.wrongPathFetches;
+                     ++i)
+                    hierarchy_.warmFetch(wrong +
+                                         i * config_.mem.l1i.lineBytes);
+                lastFetchLine_ = ~0u;
+            }
+        }
+        bpred_.update(pc, di, taken, nextPc);
+        return mispredict;
+    }
+
     static std::uint64_t
     toFixed(double v)
     {

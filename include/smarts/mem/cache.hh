@@ -27,6 +27,85 @@ struct CacheConfig
     std::uint32_t latency = 1;
 };
 
+constexpr bool
+isPowerOfTwo(std::uint64_t v)
+{
+    return v && !(v & (v - 1));
+}
+
+constexpr std::uint32_t
+log2Exact(std::uint32_t v)
+{
+    std::uint32_t shift = 0;
+    while ((1u << shift) < v)
+        ++shift;
+    return shift;
+}
+
+/**
+ * Empty when @p config is a geometry Cache can index with shifts
+ * and masks: nonzero power-of-two line size, and a size that splits
+ * into a nonzero power-of-two number of @p config.assoc -way sets.
+ * Otherwise, why not.
+ */
+inline std::string
+validateCacheConfig(const CacheConfig &config)
+{
+    if (!isPowerOfTwo(config.lineBytes))
+        return log::format("line size ", config.lineBytes,
+                           "B is not a nonzero power of two");
+    if (!config.assoc)
+        return "associativity is 0";
+    const std::uint64_t setBytes =
+        std::uint64_t(config.assoc) * config.lineBytes;
+    if (!config.sizeBytes || config.sizeBytes % setBytes)
+        return log::format("size ", config.sizeBytes,
+                           "B is not divisible into ", config.assoc,
+                           "-way sets of ", config.lineBytes,
+                           "B lines");
+    if (!isPowerOfTwo(config.sizeBytes / setBytes))
+        return log::format("set count ", config.sizeBytes / setBytes,
+                           " is not a power of two");
+    return {};
+}
+
+/**
+ * The set scan Cache and SharedCache share, over one set's @p n
+ * ways. Branch-free: every way is tested, and a conditional move
+ * keeps the answer.
+ */
+struct WayScan
+{
+    /** First way whose @p hit(w) holds, or @p n when none does. */
+    template <typename Hit>
+    static std::uint32_t
+    firstHit(std::uint32_t n, Hit &&hit)
+    {
+        std::uint32_t way = n;
+        for (std::uint32_t w = n; w-- > 0;)
+            way = hit(w) ? w : way;
+        return way;
+    }
+
+    /**
+     * The LRU way in [@p lo, @p hi) of @p lastUse: the first way
+     * holding the minimum recency stamp.
+     */
+    static std::uint32_t
+    lru(const std::uint64_t *lastUse, std::uint32_t lo,
+        std::uint32_t hi)
+    {
+        std::uint32_t victim = lo;
+        std::uint64_t oldest = lastUse[lo];
+        for (std::uint32_t w = lo + 1; w < hi; ++w) {
+            const bool older = lastUse[w] < oldest;
+            oldest = older ? lastUse[w] : oldest;
+            victim = older ? w : victim;
+        }
+        return victim;
+    }
+};
+
 struct AccessResult
 {
     bool hit = false;
@@ -91,15 +170,12 @@ class Cache
     Cache(std::string name, const CacheConfig &config)
         : name_(std::move(name)), config_(config)
     {
-        if (!config.sizeBytes || !config.assoc || !config.lineBytes ||
-            config.sizeBytes % (config.assoc * config.lineBytes))
-            SMARTS_FATAL("cache '", name_, "': size ", config.sizeBytes,
-                         " not divisible into ", config.assoc,
-                         "-way sets of ", config.lineBytes, "B lines");
+        const std::string why = validateCacheConfig(config);
+        if (!why.empty())
+            SMARTS_FATAL("cache '", name_, "': ", why);
         sets_ = config.sizeBytes / (config.assoc * config.lineBytes);
-        lineShift_ = 0;
-        while ((1u << lineShift_) < config.lineBytes)
-            ++lineShift_;
+        setMask_ = sets_ - 1;
+        lineShift_ = log2Exact(config.lineBytes);
         tags_.assign(static_cast<std::size_t>(sets_) * config.assoc, 0);
         valid_.assign(tags_.size(), 0);
         lastUse_.assign(tags_.size(), 0);
@@ -116,7 +192,7 @@ class Cache
     {
         ++(write ? stores_ : loads_);
         const std::uint32_t line = addr >> lineShift_;
-        const std::uint32_t set = line % sets_;
+        const std::uint32_t set = line & setMask_;
         const std::size_t base =
             static_cast<std::size_t>(set) * config_.assoc;
         ++tick_;
@@ -130,25 +206,24 @@ class Cache
             return {true};
         }
 
-        std::size_t victim = base;
-        std::uint64_t oldest = ~0ull;
-        for (std::size_t w = base; w < base + config_.assoc; ++w) {
-            if (valid_[w] && tags_[w] == line) {
-                lastUse_[w] = tick_;
-                mruWay_[set] = static_cast<std::uint32_t>(w - base);
-                return {true};
-            }
-            if (lastUse_[w] < oldest) {
-                oldest = lastUse_[w];
-                victim = w;
-            }
+        // A hit needs tag AND valid: reset() leaves stale tags.
+        const std::uint32_t *tags = tags_.data() + base;
+        const std::uint8_t *valid = valid_.data() + base;
+        std::uint32_t way =
+            WayScan::firstHit(config_.assoc, [&](std::uint32_t w) {
+                return (valid[w] != 0) & (tags[w] == line);
+            });
+        const bool hit = way != config_.assoc;
+        if (!hit) {
+            way = WayScan::lru(lastUse_.data() + base, 0,
+                               config_.assoc);
+            ++misses_;
+            tags_[base + way] = line;
+            valid_[base + way] = 1;
         }
-        ++misses_;
-        tags_[victim] = line;
-        valid_[victim] = 1;
-        lastUse_[victim] = tick_;
-        mruWay_[set] = static_cast<std::uint32_t>(victim - base);
-        return {false};
+        lastUse_[base + way] = tick_;
+        mruWay_[set] = way;
+        return {hit};
     }
 
     /** Hit check without any state update. */
@@ -156,9 +231,8 @@ class Cache
     probe(std::uint32_t addr) const
     {
         const std::uint32_t line = addr >> lineShift_;
-        const std::uint32_t set = line % sets_;
         const std::size_t base =
-            static_cast<std::size_t>(set) * config_.assoc;
+            static_cast<std::size_t>(line & setMask_) * config_.assoc;
         for (std::size_t w = base; w < base + config_.assoc; ++w)
             if (valid_[w] && tags_[w] == line)
                 return true;
@@ -213,6 +287,7 @@ class Cache
     std::string name_;
     CacheConfig config_;
     std::uint32_t sets_ = 1;
+    std::uint32_t setMask_ = 0; ///< sets_ - 1 (sets_ is 2^k).
     std::uint32_t lineShift_ = 6;
     std::vector<std::uint32_t> tags_;
     std::vector<std::uint8_t> valid_;

@@ -23,6 +23,22 @@ struct TlbConfig
     std::uint32_t missLatency = 30;
 };
 
+/**
+ * Empty when @p config is a TLB geometry Tlb can index with a
+ * shift: at least one entry and a nonzero power-of-two page size.
+ * Otherwise, why not.
+ */
+inline std::string
+validateTlbConfig(const TlbConfig &config)
+{
+    if (!config.entries)
+        return "no entries";
+    if (!isPowerOfTwo(config.pageBytes))
+        return log::format("page size ", config.pageBytes,
+                           "B is not a nonzero power of two");
+    return {};
+}
+
 struct HierarchyConfig
 {
     CacheConfig l1i;
@@ -120,8 +136,10 @@ class Tlb
   public:
     explicit Tlb(const TlbConfig &config) : config_(config)
     {
-        if (!config.entries)
-            SMARTS_FATAL("TLB needs at least one entry");
+        const std::string why = validateTlbConfig(config);
+        if (!why.empty())
+            SMARTS_FATAL("TLB: ", why);
+        pageShift_ = log2Exact(config.pageBytes);
         pages_.assign(config.entries, 0);
         valid_.assign(config.entries, 0);
         next_.assign(config.entries, 0);
@@ -138,7 +156,7 @@ class Tlb
     bool
     access(std::uint32_t addr)
     {
-        const std::uint32_t page = addr / config_.pageBytes;
+        const std::uint32_t page = addr >> pageShift_;
         // MRU fast path: consecutive same-page references.
         if (valid_[head_] && pages_[head_] == page)
             return false;
@@ -294,6 +312,7 @@ class Tlb
     }
 
     TlbConfig config_;
+    std::uint32_t pageShift_ = 12; ///< log2(pageBytes).
     std::vector<std::uint32_t> pages_;
     std::vector<std::uint8_t> valid_;
     std::vector<std::uint32_t> next_; ///< intrusive LRU list.

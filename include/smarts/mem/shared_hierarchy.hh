@@ -126,11 +126,9 @@ class SharedCache
         : name_(std::move(name)), config_(config),
           programs_(programs), policy_(policy)
     {
-        if (!config.sizeBytes || !config.assoc || !config.lineBytes ||
-            config.sizeBytes % (config.assoc * config.lineBytes))
-            SMARTS_FATAL("cache '", name_, "': size ", config.sizeBytes,
-                         " not divisible into ", config.assoc,
-                         "-way sets of ", config.lineBytes, "B lines");
+        const std::string why = validateCacheConfig(config);
+        if (!why.empty())
+            SMARTS_FATAL("cache '", name_, "': ", why);
         if (!programs || programs > 255)
             SMARTS_FATAL("cache '", name_, "': ", programs,
                          " programs (owner tags are one byte)");
@@ -140,9 +138,8 @@ class SharedCache
                          config.assoc, " ways across ", programs,
                          " programs");
         sets_ = config.sizeBytes / (config.assoc * config.lineBytes);
-        lineShift_ = 0;
-        while ((1u << lineShift_) < config.lineBytes)
-            ++lineShift_;
+        setMask_ = sets_ - 1;
+        lineShift_ = log2Exact(config.lineBytes);
         // Contiguous way ranges: assoc/N each, the first assoc%N
         // programs get one extra way.
         wayBase_.assign(programs + 1, 0);
@@ -171,7 +168,7 @@ class SharedCache
     {
         ++(write ? stores_ : loads_)[prog];
         const std::uint32_t line = addr >> lineShift_;
-        const std::uint32_t set = line % sets_;
+        const std::uint32_t set = line & setMask_;
         const std::size_t base =
             static_cast<std::size_t>(set) * config_.assoc;
         ++tick_;
@@ -188,36 +185,29 @@ class SharedCache
         // program's lines only ever live in its own ways, so the
         // owner predicate makes the full scan equivalent to a
         // range-restricted one.
-        for (std::size_t w = base; w < base + config_.assoc; ++w) {
-            if (valid_[w] && tags_[w] == line && owners_[w] == prog) {
-                lastUse_[w] = tick_;
-                mruWay_[set] = static_cast<std::uint32_t>(w - base);
-                return {true};
-            }
+        const std::uint32_t *tags = tags_.data() + base;
+        const std::uint8_t *owners = owners_.data() + base;
+        const std::uint8_t *valid = valid_.data() + base;
+        std::uint32_t way =
+            WayScan::firstHit(config_.assoc, [&](std::uint32_t w) {
+                return (valid[w] != 0) & (tags[w] == line) &
+                       (owners[w] == prog);
+            });
+        const bool hit = way != config_.assoc;
+        if (!hit) {
+            // Miss: victim = LRU over the policy's way range.
+            const bool own = policy_ == PartitionPolicy::WayPartitioned;
+            way = WayScan::lru(lastUse_.data() + base,
+                               own ? wayBase_[prog] : 0,
+                               own ? wayBase_[prog + 1] : config_.assoc);
+            ++misses_[prog];
+            tags_[base + way] = line;
+            owners_[base + way] = static_cast<std::uint8_t>(prog);
+            valid_[base + way] = 1;
         }
-
-        // Miss: victim = LRU over the policy's way range.
-        std::size_t lo = base;
-        std::size_t hi = base + config_.assoc;
-        if (policy_ == PartitionPolicy::WayPartitioned) {
-            lo = base + wayBase_[prog];
-            hi = base + wayBase_[prog + 1];
-        }
-        std::size_t victim = lo;
-        std::uint64_t oldest = ~0ull;
-        for (std::size_t w = lo; w < hi; ++w) {
-            if (lastUse_[w] < oldest) {
-                oldest = lastUse_[w];
-                victim = w;
-            }
-        }
-        ++misses_[prog];
-        tags_[victim] = line;
-        owners_[victim] = static_cast<std::uint8_t>(prog);
-        valid_[victim] = 1;
-        lastUse_[victim] = tick_;
-        mruWay_[set] = static_cast<std::uint32_t>(victim - base);
-        return {false};
+        lastUse_[base + way] = tick_;
+        mruWay_[set] = way;
+        return {hit};
     }
 
     void
@@ -275,6 +265,7 @@ class SharedCache
     std::uint32_t programs_ = 1;
     PartitionPolicy policy_ = PartitionPolicy::Shared;
     std::uint32_t sets_ = 1;
+    std::uint32_t setMask_ = 0; ///< sets_ - 1 (sets_ is 2^k).
     std::uint32_t lineShift_ = 6;
     std::vector<std::uint32_t> wayBase_; ///< per-program way ranges.
     std::vector<std::uint32_t> tags_;

@@ -16,8 +16,8 @@
  * the co-run are identical to its solo run — so the solo world IS a
  * second timing pass of a true solo run, reusing the one functional-
  * warming stream (the tentpole's matched-pair QoS trick). The lane
- * accounting mirrors core::TimingModel's warm/warmDetailed/
- * detailedStep transitions term for term (same 48.16 fixed-point
+ * accounting mirrors core::TimingModel's WarmSink/WarmDetailedSink/
+ * DetailedSink transitions term for term (same 48.16 fixed-point
  * increments, same charge order); tests/test_shared_mem.cc pins a
  * one-program mix bit-identical to a real solo SimSession run, so
  * the mirror cannot drift silently.

@@ -12,10 +12,12 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "bpred/branch_unit.hh"
 #include "mem/hierarchy.hh"
 #include "util/binary_io.hh"
+#include "util/logging.hh"
 
 namespace smarts::uarch {
 
@@ -99,6 +101,50 @@ struct MachineConfig
         return c;
     }
 };
+
+/**
+ * Empty when every cache, TLB and predictor table of @p c can be
+ * indexed with shifts and masks — the geometry rule the simulator's
+ * hot path relies on: nonzero power-of-two line sizes, set counts,
+ * page sizes, BTB and RAS sizes, and at most
+ * bpred::kMaxHistoryBits of gshare history. Otherwise a diagnostic
+ * naming the first offending structure. Configs built in code are
+ * checked when a session is made; configs decoded from a manifest
+ * or a store-service request are refused at decode.
+ */
+inline std::string
+validateGeometry(const MachineConfig &c)
+{
+    const std::pair<const char *, const mem::CacheConfig *> caches[] =
+        {{"l1i", &c.mem.l1i}, {"l1d", &c.mem.l1d}, {"l2", &c.mem.l2}};
+    for (const auto &[name, cache] : caches) {
+        const std::string why = mem::validateCacheConfig(*cache);
+        if (!why.empty())
+            return log::format(name, ": ", why);
+    }
+    const std::pair<const char *, const mem::TlbConfig *> tlbs[] = {
+        {"itlb", &c.mem.itlb}, {"dtlb", &c.mem.dtlb}};
+    for (const auto &[name, tlb] : tlbs) {
+        const std::string why = mem::validateTlbConfig(*tlb);
+        if (!why.empty())
+            return log::format(name, ": ", why);
+    }
+    const std::string why = bpred::validateBpredConfig(c.bpred);
+    if (!why.empty())
+        return log::format("bpred: ", why);
+    return {};
+}
+
+/** @p c itself, after a fatal error if validateGeometry refuses it. */
+inline const MachineConfig &
+checkedGeometry(const MachineConfig &c)
+{
+    const std::string why = validateGeometry(c);
+    if (!why.empty())
+        SMARTS_FATAL("machine '", c.name, "' has an invalid geometry: ",
+                     why);
+    return c;
+}
 
 /**
  * FNV-1a fingerprint of the parts of a MachineConfig that shape its

@@ -16,37 +16,60 @@ MultiSession::MultiSession(
         models_.emplace_back(config);
 }
 
+namespace {
+
+/** ArchCore::run sink handing each event to every model's sink. */
+template <typename ModelSink>
+struct EachModel
+{
+    std::vector<TimingModel> &models;
+
+    void
+    fetch(std::uint32_t pc)
+    {
+        for (TimingModel &m : models)
+            ModelSink{m}.fetch(pc);
+    }
+
+    void
+    load(std::uint32_t addr)
+    {
+        for (TimingModel &m : models)
+            ModelSink{m}.load(addr);
+    }
+
+    void
+    store(std::uint32_t addr)
+    {
+        for (TimingModel &m : models)
+            ModelSink{m}.store(addr);
+    }
+
+    void
+    branch(std::uint32_t pc, const sisa::DecodedInst &di, bool taken,
+           std::uint32_t nextPc)
+    {
+        for (TimingModel &m : models)
+            ModelSink{m}.branch(pc, di, taken, nextPc);
+    }
+};
+
+} // namespace
+
 std::uint64_t
 MultiSession::fastForward(std::uint64_t maxInsts, WarmingMode mode)
 {
-    const bool warmCaches = warmsCaches(mode);
-    const bool warmBpred = warmsBpred(mode);
-
-    std::uint64_t executed = 0;
-    StepInfo info;
-    while (executed < maxInsts) {
-        if (!arch_.step(info))
-            break;
-        ++executed;
-        for (TimingModel &model : models_)
-            model.warm(info, warmCaches, warmBpred);
-    }
-    return executed;
+    return withWarmingMode(mode, [&](auto m) {
+        using Sink = TimingModel::WarmSink<decltype(m)::value>;
+        return arch_.run(maxInsts, EachModel<Sink>{models_});
+    });
 }
 
 std::uint64_t
 MultiSession::warmAsDetailed(std::uint64_t maxInsts)
 {
-    std::uint64_t executed = 0;
-    StepInfo info;
-    while (executed < maxInsts) {
-        if (!arch_.step(info))
-            break;
-        ++executed;
-        for (TimingModel &model : models_)
-            model.warmDetailed(info);
-    }
-    return executed;
+    return arch_.run(
+        maxInsts, EachModel<TimingModel::WarmDetailedSink>{models_});
 }
 
 void
@@ -67,15 +90,8 @@ MultiSession::detailedRun(std::uint64_t maxInsts)
     for (const TimingModel &model : models_)
         marks.push_back(model.beginSegment());
 
-    std::uint64_t executed = 0;
-    StepInfo info;
-    while (executed < maxInsts) {
-        if (!arch_.step(info))
-            break;
-        ++executed;
-        for (TimingModel &model : models_)
-            model.detailedStep(info);
-    }
+    const std::uint64_t executed = arch_.run(
+        maxInsts, EachModel<TimingModel::DetailedSink>{models_});
 
     MultiSegment seg;
     seg.instructions = executed;

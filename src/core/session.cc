@@ -14,46 +14,24 @@ SimSession::SimSession(const workloads::BenchmarkSpec &spec,
 std::uint64_t
 SimSession::fastForward(std::uint64_t maxInsts, WarmingMode mode)
 {
-    const bool warmCaches = warmsCaches(mode);
-    const bool warmBpred = warmsBpred(mode);
-
-    std::uint64_t executed = 0;
-    StepInfo info;
-    while (executed < maxInsts) {
-        if (!arch_.step(info))
-            break;
-        ++executed;
-        model_.warm(info, warmCaches, warmBpred);
-    }
-    return executed;
+    return withWarmingMode(mode, [&](auto m) {
+        return arch_.run(maxInsts,
+                         TimingModel::WarmSink<decltype(m)::value>{model_});
+    });
 }
 
 std::uint64_t
 SimSession::warmAsDetailed(std::uint64_t maxInsts)
 {
-    std::uint64_t executed = 0;
-    StepInfo info;
-    while (executed < maxInsts) {
-        if (!arch_.step(info))
-            break;
-        ++executed;
-        model_.warmDetailed(info);
-    }
-    return executed;
+    return arch_.run(maxInsts, TimingModel::WarmDetailedSink{model_});
 }
 
 Segment
 SimSession::detailedRun(std::uint64_t maxInsts)
 {
     const TimingModel::SegmentMark mark = model_.beginSegment();
-    std::uint64_t executed = 0;
-    StepInfo info;
-    while (executed < maxInsts) {
-        if (!arch_.step(info))
-            break;
-        ++executed;
-        model_.detailedStep(info);
-    }
+    const std::uint64_t executed =
+        arch_.run(maxInsts, TimingModel::DetailedSink{model_});
     return model_.endSegment(mark, executed);
 }
 
@@ -67,31 +45,41 @@ SimSession::profileBbvs(std::uint64_t intervalSize, std::size_t dims)
         return static_cast<std::size_t>(mix64(blockPc) % dims);
     };
 
+    // Basic blocks end at branches; a block still open at an
+    // interval boundary is split there.
+    struct BlockSink
+    {
+        std::vector<double> &current;
+        decltype(bucket) &bucketOf;
+        std::uint32_t blockStart;
+        double blockLen = 0;
+
+        void fetch(std::uint32_t) { ++blockLen; }
+        void load(std::uint32_t) {}
+        void store(std::uint32_t) {}
+
+        void
+        branch(std::uint32_t, const sisa::DecodedInst &, bool,
+               std::uint32_t nextPc)
+        {
+            current[bucketOf(blockStart)] += blockLen;
+            blockStart = nextPc;
+            blockLen = 0;
+        }
+    };
+
     std::vector<std::vector<double>> intervals;
     std::vector<double> current(dims, 0.0);
-    std::uint64_t inInterval = 0;
-    std::uint32_t blockStart = arch_.pc();
-    double blockLen = 0;
-
-    StepInfo info;
-    while (arch_.step(info)) {
-        ++blockLen;
-        ++inInterval;
-        if (info.di.isBranch()) {
-            current[bucket(blockStart)] += blockLen;
-            blockStart = info.nextPc;
-            blockLen = 0;
-        }
-        if (inInterval == intervalSize) {
-            current[bucket(blockStart)] += blockLen;
-            blockLen = 0;
-            blockStart = arch_.pc();
-            for (double &x : current)
-                x /= static_cast<double>(intervalSize);
-            intervals.push_back(current);
-            std::fill(current.begin(), current.end(), 0.0);
-            inInterval = 0;
-        }
+    BlockSink sink{current, bucket, arch_.pc()};
+    // A final partial interval is dropped.
+    while (arch_.run(intervalSize, sink) == intervalSize) {
+        current[bucket(sink.blockStart)] += sink.blockLen;
+        sink.blockLen = 0;
+        sink.blockStart = arch_.pc();
+        for (double &x : current)
+            x /= static_cast<double>(intervalSize);
+        intervals.push_back(current);
+        std::fill(current.begin(), current.end(), 0.0);
     }
     return intervals;
 }

@@ -562,6 +562,17 @@ JobManifest::load(const std::string &path, std::string *error)
         return refuse(log::format(
             path, " is truncated or has trailing garbage"));
 
+    // A config the simulator cannot index (zero or non-power-of-two
+    // sizes) would crash or silently mis-model on the first access.
+    for (std::uint32_t c = 0; c < configCount; ++c) {
+        const std::string why = uarch::validateGeometry(m.configs[c]);
+        if (!why.empty())
+            return refuse(log::format(path, ": config ", c, " (",
+                                      m.configs[c].name,
+                                      ") has an invalid geometry: ",
+                                      why));
+    }
+
     // The build-fingerprint handshake: a manifest published by a
     // build whose timing model (or protocol) diverged from this one
     // must refuse HERE, not merge silently and rely on

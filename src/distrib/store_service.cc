@@ -157,6 +157,11 @@ StoreRequest::load(const std::string &path, std::string *error)
                                         "trailing bytes"));
     if (r.reqId.empty())
         return refuse(log::format(path, " has an empty request id"));
+    const std::string geometryError = uarch::validateGeometry(r.machine);
+    if (!geometryError.empty())
+        return refuse(log::format(path, ": machine '", r.machine.name,
+                                  "' has an invalid geometry: ",
+                                  geometryError));
 
     // The geometry-hash claim must be reproducible from the embedded
     // config by THIS build — a client built from incompatible

@@ -8,7 +8,7 @@ namespace smarts::mp {
 
 MixSession::MixSession(const WorkloadMix &mix,
                        const uarch::MachineConfig &config)
-    : config_(config),
+    : config_(uarch::checkedGeometry(config)),
       shared_(config.mem,
               static_cast<std::uint32_t>(mix.programs.size()),
               mix.policy)
@@ -22,9 +22,7 @@ MixSession::MixSession(const WorkloadMix &mix,
         lanes_.emplace_back(config.bpred);
     }
 
-    fetchLineShift_ = 0;
-    while ((1u << fetchLineShift_) < config_.mem.l1i.lineBytes)
-        ++fetchLineShift_;
+    fetchLineShift_ = mem::log2Exact(config_.mem.l1i.lineBytes);
 
     // The exact per-event increments TimingModel precomputes: the
     // solo world's accounting must replay a solo TimingModel bit
@@ -42,7 +40,7 @@ MixSession::MixSession(const WorkloadMix &mix,
     eBpredFx_ = toFixed(config.energy.bpredAccess);
 }
 
-/** Mirrors TimingModel::warm per lane (shared/shadow fed together). */
+/** Mirrors TimingModel::WarmSink per lane (shared/shadow fed together). */
 void
 MixSession::warmStep(std::uint32_t p, const core::StepInfo &info,
                      bool warmCaches, bool warmBpred)
@@ -67,7 +65,7 @@ MixSession::warmStep(std::uint32_t p, const core::StepInfo &info,
         ++lane.activity.branches;
         if (warmBpred) {
             // Mirror the detailed lane's RAS traffic (see
-            // TimingModel::warm).
+            // TimingModel::WarmSink).
             if (info.di.op == sisa::Opcode::JR && info.di.a == 31)
                 lane.bpred.popReturn();
             lane.bpred.update(info.pc, info.di, info.taken,
@@ -76,7 +74,7 @@ MixSession::warmStep(std::uint32_t p, const core::StepInfo &info,
     }
 }
 
-/** Mirrors TimingModel::warmDetailed per lane. */
+/** Mirrors TimingModel::WarmDetailedSink per lane. */
 void
 MixSession::warmDetailedStep(std::uint32_t p,
                              const core::StepInfo &info)
@@ -119,7 +117,7 @@ MixSession::warmDetailedStep(std::uint32_t p,
 }
 
 /**
- * Mirrors TimingModel::detailedStep per lane, charging every cycle
+ * Mirrors TimingModel::DetailedSink per lane, charging every cycle
  * and energy term TWICE — once per world, each from its own
  * MemResult. One predict/update, one L1/TLB access: those are
  * private, so both worlds share them physically and arithmetically.

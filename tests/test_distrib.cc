@@ -247,6 +247,50 @@ testManifestRoundtripAndRefusals()
         expectRefusal("foreign geometry hash", "does not reproduce");
     }
 
+    // A config the simulator cannot index refuses by name (with its
+    // hash resealed, so only the geometry check can catch it): a
+    // zero BTB, RAS or page size used to divide by zero on the first
+    // JR, JAL or memory access, 48-byte lines were modelled as 64,
+    // and a 64-bit history shift is undefined behaviour.
+    {
+        const struct
+        {
+            const char *what;
+            void (*mutate)(uarch::MachineConfig &);
+            const char *needle;
+        } rows[] = {
+            {"zero BTB",
+             [](uarch::MachineConfig &c) { c.bpred.btbEntries = 0; },
+             "config 1 (16-way) has an invalid geometry: bpred: BTB "
+             "size 0"},
+            {"zero RAS",
+             [](uarch::MachineConfig &c) { c.bpred.rasEntries = 0; },
+             "bpred: RAS size 0"},
+            {"zero page size",
+             [](uarch::MachineConfig &c) { c.mem.dtlb.pageBytes = 0; },
+             "dtlb: page size 0B"},
+            {"48-byte lines",
+             [](uarch::MachineConfig &c) { c.mem.l1d.lineBytes = 48; },
+             "l1d: line size 48B"},
+            {"3 sets",
+             [](uarch::MachineConfig &c) {
+                 c.mem.l2 = {3 * 8 * 64, 8, 64, 12};
+             },
+             "l2: set count 3"},
+            {"64 history bits",
+             [](uarch::MachineConfig &c) { c.bpred.historyBits = 64; },
+             "bpred: history of 64 bits"},
+        };
+        for (const auto &row : rows) {
+            distrib::JobManifest bad = manifest;
+            row.mutate(bad.configs[1]);
+            bad.geometryHashes[1] =
+                uarch::warmGeometryHash(bad.configs[1]);
+            CHECK(bad.save(path, &error));
+            expectRefusal(row.what, row.needle);
+        }
+    }
+
     // Build-fingerprint handshake: planStudy stamps this build's
     // fingerprint, and a manifest from a diverged build (different
     // timing model or protocol) refuses at load, naming both

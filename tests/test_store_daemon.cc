@@ -320,6 +320,65 @@ testNoDaemonIsTheNormalLocalPath()
     CHECK(!warm.captured);
 }
 
+/**
+ * The request decoder's refusal table: a request the daemon cannot
+ * serve is refused at load with a named diagnostic, before any
+ * capture. The geometry rows carry a correct hash claim, so only
+ * the geometry check can refuse them.
+ */
+void
+testRequestRefusals()
+{
+    const std::string path = std::string(kRoot) + "/request.smrq";
+    distrib::StoreRequest request;
+    request.reqId = "r1";
+    request.benchmark = spec();
+    request.sampling = sampling();
+    request.machine = uarch::MachineConfig::eightWay();
+    std::string error;
+    CHECK(request.save(path, &error));
+    CHECK(distrib::StoreRequest::load(path, &error).has_value());
+
+    const struct
+    {
+        const char *what;
+        void (*mutate)(distrib::StoreRequest &);
+        const char *needle;
+    } rows[] = {
+        {"empty request id",
+         [](distrib::StoreRequest &r) { r.reqId.clear(); },
+         "empty request id"},
+        {"zero BTB",
+         [](distrib::StoreRequest &r) { r.machine.bpred.btbEntries = 0; },
+         "machine '8-way' has an invalid geometry: bpred: BTB size 0"},
+        {"zero RAS",
+         [](distrib::StoreRequest &r) { r.machine.bpred.rasEntries = 0; },
+         "bpred: RAS size 0"},
+        {"zero page size",
+         [](distrib::StoreRequest &r) { r.machine.mem.itlb.pageBytes = 0; },
+         "itlb: page size 0B"},
+        {"48-byte lines",
+         [](distrib::StoreRequest &r) { r.machine.mem.l1i.lineBytes = 48; },
+         "l1i: line size 48B"},
+        {"64 history bits",
+         [](distrib::StoreRequest &r) { r.machine.bpred.historyBits = 64; },
+         "bpred: history of 64 bits"},
+    };
+    for (const auto &row : rows) {
+        distrib::StoreRequest bad = request;
+        row.mutate(bad);
+        CHECK(bad.save(path, &error));
+        std::string why;
+        CHECK(!distrib::StoreRequest::load(path, &why).has_value());
+        const bool named = why.find(row.needle) != std::string::npos;
+        CHECK(named);
+        if (!named)
+            std::fprintf(stderr,
+                         "  %s: diagnostic \"%s\" lacks \"%s\"\n",
+                         row.what, why.c_str(), row.needle);
+    }
+}
+
 } // namespace
 
 int
@@ -338,6 +397,7 @@ main(int argc, char **argv)
     testTwoLeadersSingleFlightBitIdentical();
     testDaemonDeathDegradesToLocal();
     testNoDaemonIsTheNormalLocalPath();
+    testRequestRefusals();
 
     TEST_MAIN_SUMMARY();
 }
