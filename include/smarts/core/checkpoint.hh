@@ -47,6 +47,7 @@
 
 #include "core/multi_session.hh"
 #include "core/sampler.hh"
+#include "core/schedule.hh"
 #include "core/session.hh"
 #include "util/binary_io.hh"
 #include "util/logging.hh"
@@ -206,66 +207,43 @@ operator!=(const ShardSpec &a, const ShardSpec &b)
 namespace detail {
 
 /**
- * The serial sampling schedule with state-equivalent warming, shared
- * by every capture flavor: fastForward over the inter-unit gaps
- * (identical to the serial run), warmAsDetailed over the
- * detailed-warming and measured windows (identical state
- * transitions, no timing). @p snap(shard) fires at each shard
- * boundary — an iteration start, where the session state is
- * bit-identical to the serial run's. Works for any session exposing
- * the stepping surface — SimSession (one config), MultiSession (N
- * configs in lockstep), mp::MixSession (N programs over a shared
- * hierarchy, positions in rounds): the stream driving the schedule
- * does not depend on what is being warmed.
+ * The shard-checkpoint capture pass shared by every capture flavor:
+ * the sampling schedule (core/schedule.hh) with state-equivalent
+ * warming, calling @p snap(shard) at each shard boundary — an
+ * iteration start, before the gap, where the session state is
+ * bit-identical to the serial run's. The pass stops after the last
+ * boundary (the tail belongs to the last shard) and at a boundary
+ * the stream never reached: a stream shorter than planned (a
+ * mis-stated length) ends mid-unit, and a checkpoint snapped there
+ * would be one load() must forever refuse. Works for SimSession,
+ * MultiSession and mp::MixSession (positions in rounds).
  */
 template <typename Session, typename Snap>
 void
 captureSchedule(Session &session, const SamplingConfig &config,
                 const std::vector<ShardSpec> &plan, Snap &&snap)
 {
-    if (plan.size() <= 1)
-        return;
-    const std::uint64_t u = config.unitSize;
-    const std::uint64_t w = config.detailedWarming;
-    const std::uint64_t k = config.interval;
-    if (!u || !k)
-        SMARTS_FATAL("capture needs nonzero unit size and interval");
+    struct Boundaries : WarmingVisitor<Session>
+    {
+        const std::vector<ShardSpec> &plan;
+        Snap &snap;
+        std::size_t next = 1;
 
-    std::uint64_t pos = session.instCount();
-    std::uint64_t unitIdx = config.nextGridIndex(config.offset, pos);
-    std::size_t next = 1;
-
-    while (next < plan.size()) {
-        if (unitIdx >= plan[next].firstUnitIndex) {
-            // The grid index can cross a boundary the STREAM never
-            // reached (it ended mid-unit on a mis-stated length);
-            // snapping there would persist a checkpoint load() must
-            // forever refuse. Unreachable boundary = stop.
-            if (session.instCount() < plan[next].resumePos)
-                break;
-            snap(next);
-            ++next;
-            continue;
+        bool
+        atIteration(std::uint64_t unitIdx)
+        {
+            for (; next < plan.size() &&
+                   unitIdx >= plan[next].firstUnitIndex;
+                 ++next) {
+                if (this->session.instCount() < plan[next].resumePos)
+                    return false;
+                snap(next);
+            }
+            return next < plan.size();
         }
-        // Stream shorter than planned (mis-stated length): the
-        // remaining checkpoints are unreachable.
-        if (session.finished() || unitIdx > ~0ull / u)
-            break;
-
-        const std::uint64_t unitStart = unitIdx * u;
-        const std::uint64_t warmStart =
-            unitStart > w ? unitStart - w : 0;
-        if (warmStart > pos) {
-            pos += session.fastForward(warmStart - pos,
-                                       config.warming);
-            if (session.finished())
-                continue;
-        }
-        if (unitStart > pos)
-            pos += session.warmAsDetailed(unitStart - pos);
-        pos += session.warmAsDetailed(u);
-        unitIdx += k;
-    }
+    };
+    walkSchedule(session, config, config.offset, ~0ull,
+                 /*runTail=*/false, Boundaries{{{}, session}, plan, snap});
 }
 
 } // namespace detail

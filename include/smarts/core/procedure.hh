@@ -11,8 +11,6 @@
 #define SMARTS_CORE_PROCEDURE_HH
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <optional>
 
 #include "core/sampler.hh"
@@ -48,32 +46,10 @@ struct ProcedureResult
     }
 };
 
-/** Two-pass result for a matched multi-config run. */
-struct MatchedProcedureResult
-{
-    MatchedEstimate initial;
-    std::optional<MatchedEstimate> tuned;
-    std::uint64_t recommendedN = 0; ///< n_tuned from the worst V-hat.
-
-    bool
-    metOnFirstTry() const
-    {
-        return !tuned.has_value();
-    }
-
-    const MatchedEstimate &
-    final() const
-    {
-        return tuned ? *tuned : initial;
-    }
-};
-
 class SmartsProcedure
 {
   public:
     using SessionFactory = core::SessionFactory;
-    using MultiSessionFactory =
-        std::function<std::unique_ptr<MultiSession>()>;
 
     explicit SmartsProcedure(const ProcedureConfig &config);
 
@@ -136,16 +112,6 @@ class SmartsProcedure
                     std::uint64_t streamLength,
                     exec::ThreadPool &pool, CheckpointStore &store,
                     std::uint64_t seed = 1) const;
-
-    /**
-     * Matched multi-config variant: one functional-warming stream
-     * per pass feeds every config. n_tuned is sized from the worst
-     * per-config V-hat, so the rerun (when needed) brings every
-     * config inside the target.
-     */
-    MatchedProcedureResult
-    estimateMatched(const MultiSessionFactory &factory,
-                    std::uint64_t streamLength) const;
 
   private:
     ProcedureConfig config_;

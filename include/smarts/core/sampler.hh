@@ -99,6 +99,27 @@ struct SamplingConfig
     }
 };
 
+/**
+ * Field-for-field equality — the ONE comparison of two sampling
+ * designs (every library-versus-sampler check and
+ * LibraryKey::mismatchAgainst), so a future field cannot make one
+ * path accept a library another refuses.
+ */
+inline bool
+operator==(const SamplingConfig &a, const SamplingConfig &b)
+{
+    return a.unitSize == b.unitSize &&
+           a.detailedWarming == b.detailedWarming &&
+           a.interval == b.interval && a.offset == b.offset &&
+           a.warming == b.warming;
+}
+
+inline bool
+operator!=(const SamplingConfig &a, const SamplingConfig &b)
+{
+    return !(a == b);
+}
+
 /** One measured unit's observations, in stream order. */
 struct UnitObservation
 {
@@ -515,6 +536,9 @@ class SystematicSampler
                        LivePointLibrary *collect = nullptr) const;
 
   private:
+    /** Adapter for the shard executor (core/shard_executor.hh). */
+    struct ShardTier;
+
     /** The cold pipelined path; @p collect (optional) receives the
      *  captured library for persistence. */
     SmartsEstimate runShardedCold(const SessionFactory &factory,

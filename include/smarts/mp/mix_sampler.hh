@@ -143,6 +143,9 @@ class MixSampler
     }
 
   private:
+    /** Adapter for the shard executor (core/shard_executor.hh). */
+    struct ShardTier;
+
     MixEstimate runShardedCold(std::uint64_t streamLength,
                                std::size_t shards,
                                exec::ThreadPool &pool,

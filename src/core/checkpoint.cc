@@ -148,19 +148,16 @@ LibraryKey::mismatchAgainst(const LibraryKey &other) const
                            scaleName(other.benchmark.scale),
                            ", expected: ", benchmark.name, "-",
                            scaleName(benchmark.scale), ")");
-    if (sampling.unitSize != other.sampling.unitSize ||
-        sampling.detailedWarming != other.sampling.detailedWarming ||
-        sampling.interval != other.sampling.interval ||
-        sampling.offset != other.sampling.offset ||
-        sampling.warming != other.sampling.warming)
+    if (sampling != other.sampling)
         return log::format(
             "sampling-design mismatch (file: U",
             other.sampling.unitSize, "/W",
             other.sampling.detailedWarming, "/k",
-            other.sampling.interval, "/j", other.sampling.offset,
-            ", expected: U", sampling.unitSize, "/W",
-            sampling.detailedWarming, "/k", sampling.interval, "/j",
-            sampling.offset, ")");
+            other.sampling.interval, "/j", other.sampling.offset, "/",
+            warmingName(other.sampling.warming), ", expected: U",
+            sampling.unitSize, "/W", sampling.detailedWarming, "/k",
+            sampling.interval, "/j", sampling.offset, "/",
+            warmingName(sampling.warming), ")");
     if (geometryHash != other.geometryHash) {
         char fileHash[17], wantHash[17];
         std::snprintf(fileHash, sizeof fileHash, "%016llx",

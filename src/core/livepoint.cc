@@ -6,6 +6,7 @@
 #include <numeric>
 #include <utility>
 
+#include "core/schedule.hh"
 #include "exec/thread_pool.hh"
 #include "util/delta_codec.hh"
 #include "util/logging.hh"
@@ -23,104 +24,45 @@ constexpr char kMagic[8] = {'S', 'M', 'R', 'T',
 constexpr std::uint32_t kEndianMark = 0x01020304u;
 
 /**
- * The serial sampling schedule with state-equivalent warming, as in
- * the shard capture pass (core/checkpoint.cc), but snapping at EVERY
- * measured unit's iteration start — after the inter-unit gap is
- * fast-forwarded, before detailed warming — which is exactly where
- * the serial loop's state equals the capture pass's. After the last
- * unit the stream is run out so the caller learns the true dynamic
- * length. Works for SimSession and MultiSession: both expose the
- * same stepping surface.
+ * The live-point capture pass: the sampling schedule
+ * (core/schedule.hh) with state-equivalent warming, calling
+ * @p snap(unitIdx) at EVERY unit the serial loop iterates — after
+ * the inter-unit gap, before detailed warming, where the serial
+ * loop's state equals the capture pass's. The stream is run out so
+ * the caller learns the true dynamic length. Works for SimSession
+ * and MultiSession.
  */
 template <typename Session, typename Snap>
 std::uint64_t
 liveCaptureSchedule(Session &session, const SamplingConfig &config,
                     Snap &&snap)
 {
-    const std::uint64_t u = config.unitSize;
-    const std::uint64_t w = config.detailedWarming;
-    const std::uint64_t k = config.interval;
-    if (!u || !k)
-        SMARTS_FATAL("live-point capture needs nonzero unit size "
-                     "and interval");
+    struct EveryUnit : WarmingVisitor<Session>
+    {
+        Snap &snap;
 
-    std::uint64_t pos = session.instCount();
-    std::uint64_t unitIdx = config.nextGridIndex(config.offset, pos);
-
-    while (!session.finished()) {
-        if (unitIdx > ~0ull / u)
-            break;
-        const std::uint64_t unitStart = unitIdx * u;
-        const std::uint64_t warmStart =
-            unitStart > w ? unitStart - w : 0;
-
-        if (warmStart > pos) {
-            pos += session.fastForward(warmStart - pos,
-                                       config.warming);
-            if (session.finished())
-                break;
-        }
-        // The serial loop iterates this unit (possibly truncated):
-        // snapshot its resume state.
-        snap(unitIdx);
-
-        if (unitStart > pos)
-            pos += session.warmAsDetailed(unitStart - pos);
-        pos += session.warmAsDetailed(u);
-        unitIdx += k;
-    }
-
-    // Run out the tail so streamLength is the true benchmark length.
-    while (!session.finished())
-        session.fastForward(~0ull >> 1, config.warming);
+        void afterGap(std::uint64_t unitIdx) { snap(unitIdx); }
+    };
+    walkSchedule(session, config, config.offset, ~0ull,
+                 /*runTail=*/true, EveryUnit{{{}, session}, snap});
     return session.instCount();
 }
 
-/** One unit's raw measurement, before deterministic folding. */
-struct UnitSample
-{
-    UnitObservation obs{};
-    bool hasObs = false;
-    std::uint64_t measured = 0;
-    std::uint64_t warmed = 0;
-    std::uint64_t dropped = 0;
-};
-
 /**
- * Replay one live-point: restore, detailed-warm up to the unit
- * start, measure U — the serial loop's per-iteration body
- * (core/sampler.cc runSliceRange) starting from the snapshot, with
- * the identical accounting, truncation cases included.
+ * Replay one live-point: restore its snapshot and walk its one unit —
+ * the serial loop's iteration from the snapshot on, with the
+ * identical accounting, truncation cases included.
  */
-void
-measureLivePoint(SimSession &session, const SamplingConfig &config,
-                 const LivePoint &point, UnitSample &out)
+SliceResult
+measureLivePoint(SimSession &session, const SystematicSampler &sampler,
+                 const LivePoint &point)
 {
     session.restoreState(point.arch, point.timing);
-    const std::uint64_t u = config.unitSize;
-    const std::uint64_t unitStart = point.unitIndex * u;
-    std::uint64_t pos = point.position;
-
-    out = UnitSample{};
-    if (unitStart > pos) {
-        const Segment warm = session.detailedRun(unitStart - pos);
-        out.warmed = warm.instructions;
-        pos += warm.instructions;
-    }
-    // When warming hit the end of the stream this runs on a finished
-    // session and yields a zero segment — the serial loop broke
-    // before measuring, and 0 dropped instructions matches it.
-    const Segment seg = session.detailedRun(u);
-    if (seg.instructions == u) {
-        out.hasObs = true;
-        out.obs = {static_cast<double>(seg.cycles) /
-                       static_cast<double>(u),
-                   seg.energyNj /
-                       static_cast<double>(seg.instructions)};
-        out.measured = u;
-    } else {
-        out.dropped = seg.instructions;
-    }
+    ShardSpec unit;
+    unit.firstUnitIndex = point.unitIndex;
+    unit.unitCount = 1;
+    unit.resumePos = point.position;
+    return sampler.runSlice(session, unit);
 }
 
 /** Fixed part of a record: unitIndex, position, recordFnv, length. */
@@ -140,73 +82,98 @@ recordFnv(const std::uint8_t *head, const std::uint8_t *delta,
     return util::fnv1a(delta, deltaSize, h);
 }
 
-// The anytime stop rule, factored so the warm path (runAnytime,
-// which evaluates it WHILE measuring) and the leapfrog cold path
-// (which REPLAYS it over the complete sample set) share the exact
-// arithmetic — bit-identical decisions are what make the two paths
-// report the same AnytimeResult.
-
-/** Seeded Fisher-Yates measurement order: pure function of (seed, n). */
-std::vector<std::uint32_t>
-shuffledOrder(std::size_t n, std::uint64_t seed)
-{
-    std::vector<std::uint32_t> order(n);
-    std::iota(order.begin(), order.end(), 0u);
-    Xoshiro256StarStar rng(seed);
-    for (std::size_t i = n; i > 1; --i)
-        std::swap(order[i - 1], order[rng.below(i)]);
-    return order;
-}
-
-/** The batch-boundary confidence test of the anytime estimator. */
-bool
-anytimeTargetMet(const stats::OnlineStats &shuffled,
-                 const AnytimeOptions &options)
-{
-    return options.target.epsilon > 0.0 &&
-           shuffled.count() >= options.minUnits &&
-           stats::confidenceHalfWidth(shuffled.cv(), shuffled.count(),
-                                      options.target.level) <=
-               options.target.epsilon;
-}
-
 /**
- * Deterministic fold: replay the taken units' observations in
- * STREAM order through the accumulators — replay, never
- * OnlineStats::merge (Chan's merge rounds differently), so a
- * completed run equals the serial run() byte for byte.
+ * The anytime stop rule, stepped one batch at a time. The warm path
+ * (runAnytime) measures each batch, then steps; the leapfrog cold
+ * path measures every unit first, then replays the steps. One copy
+ * of the shuffle, the batch boundaries and the streaming-CI
+ * arithmetic is what makes the two report the same AnytimeResult.
  */
-template <typename Samples>
-AnytimeResult
-foldAnytime(const Samples &samples,
-            const std::vector<std::uint32_t> &order,
-            std::size_t processed, std::uint64_t streamLength)
+struct AnytimeStopRule
 {
-    const std::size_t n = order.size();
-    std::vector<bool> taken(n, false);
-    for (std::size_t i = 0; i < processed; ++i)
-        taken[order[i]] = true;
-
-    AnytimeResult result;
-    SmartsEstimate &est = result.estimate;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!taken[i])
-            continue;
-        const UnitSample &sample = samples[i];
-        if (sample.hasObs) {
-            est.cpiStats.add(sample.obs.cpi);
-            est.epiStats.add(sample.obs.epi);
-        }
-        est.instructionsMeasured += sample.measured;
-        est.instructionsWarmed += sample.warmed;
-        est.instructionsDropped += sample.dropped;
+    /**
+     * Seeded Fisher-Yates over the unit slots: the measurement order
+     * is a pure function of (seed, units), so a rerun — on any
+     * machine, at any thread count — measures the identical units.
+     */
+    AnytimeStopRule(std::size_t units, const AnytimeOptions &opts)
+        : order(units), options(opts)
+    {
+        std::iota(order.begin(), order.end(), 0u);
+        Xoshiro256StarStar rng(options.seed);
+        for (std::size_t i = units; i > 1; --i)
+            std::swap(order[i - 1], order[rng.below(i)]);
     }
-    est.streamLength = streamLength;
-    result.unitsAvailable = n;
-    result.unitsMeasured = processed;
-    result.earlyStopped = processed < n;
-    return result;
-}
+
+    /** True while units remain and the target has not been met. */
+    bool
+    running() const
+    {
+        return processed < order.size() && !stopped;
+    }
+
+    /** The next batch is order[processed, batchEnd()). */
+    std::size_t
+    batchEnd() const
+    {
+        return std::min<std::size_t>(
+            order.size(), processed + (options.batch ? options.batch : 1));
+    }
+
+    /**
+     * Take the next batch of measured @p samples: their CPIs enter
+     * the streaming statistics in SHUFFLE order — the randomized
+     * order makes the prefix an unbiased sample of the unit
+     * population at every cut point — and the confidence target is
+     * tested at the batch boundary, a data-independent cut point.
+     */
+    template <typename Samples>
+    void
+    step(const Samples &samples)
+    {
+        for (const std::size_t end = batchEnd(); processed < end;
+             ++processed)
+            for (const UnitObservation &o : samples[order[processed]].obs)
+                shuffled.add(o.cpi);
+        stopped = options.target.epsilon > 0.0 &&
+                  shuffled.count() >= options.minUnits &&
+                  stats::confidenceHalfWidth(shuffled.cv(),
+                                             shuffled.count(),
+                                             options.target.level) <=
+                      options.target.epsilon;
+    }
+
+    /**
+     * Deterministic fold: the taken units replayed in STREAM order
+     * through SystematicSampler::foldSlice — replay, never
+     * OnlineStats::merge (Chan's merge rounds differently), so a
+     * completed run equals the serial run() byte for byte.
+     */
+    template <typename Samples>
+    AnytimeResult
+    result(const Samples &samples, std::uint64_t streamLength) const
+    {
+        std::vector<bool> taken(order.size(), false);
+        for (std::size_t i = 0; i < processed; ++i)
+            taken[order[i]] = true;
+
+        AnytimeResult r;
+        for (std::size_t i = 0; i < order.size(); ++i)
+            if (taken[i])
+                SystematicSampler::foldSlice(r.estimate, samples[i]);
+        r.estimate.streamLength = streamLength;
+        r.unitsAvailable = order.size();
+        r.unitsMeasured = processed;
+        r.earlyStopped = processed < order.size();
+        return r;
+    }
+
+    std::vector<std::uint32_t> order;
+    AnytimeOptions options;
+    stats::OnlineStats shuffled; ///< CPI in shuffle order: stop rule only.
+    std::size_t processed = 0;
+    bool stopped = false;
+};
 
 } // namespace
 
@@ -511,76 +478,42 @@ SystematicSampler::runAnytime(const SessionFactory &factory,
 {
     if (!factory)
         SMARTS_FATAL("runAnytime needs a session factory");
-    const SamplingConfig &built = library.samplingConfig();
-    if (built.unitSize != config_.unitSize ||
-        built.detailedWarming != config_.detailedWarming ||
-        built.interval != config_.interval ||
-        built.offset != config_.offset ||
-        built.warming != config_.warming)
+    if (library.samplingConfig() != config_)
         SMARTS_FATAL("live-point library was built for a different "
                      "sampling design");
 
-    const std::size_t n = library.unitCount();
-
-    // Seeded Fisher-Yates: the measurement order is a pure function
-    // of (seed, n), so a rerun — on any machine, at any thread
-    // count — measures the identical unit sequence.
-    const std::vector<std::uint32_t> order =
-        shuffledOrder(n, options.seed);
-
-    const SamplingConfig config = config_;
-    const std::uint64_t batch = options.batch ? options.batch : 1;
     const std::uint64_t chunk = options.chunk ? options.chunk : 1;
-
-    std::vector<UnitSample> samples(n);
-    stats::OnlineStats shuffled; // CPI in shuffle order: stop rule only.
-    std::size_t processed = 0;
-    bool stopped = false;
-
-    while (processed < n && !stopped) {
-        const std::size_t end =
-            std::min<std::size_t>(n, processed + batch);
+    std::vector<SliceResult> samples(library.unitCount());
+    AnytimeStopRule rule(samples.size(), options);
+    while (rule.running()) {
         // The batch's units are handed out in stream order, so each
         // job's cursor walks its chain span forward once. Each chunk
         // job owns one session and writes only its own units' slots;
         // pool.wait() publishes them all, so the batch is
         // bit-identical at any thread count.
-        std::vector<std::uint32_t> units(order.begin() + processed,
-                                         order.begin() + end);
+        std::vector<std::uint32_t> units(
+            rule.order.begin() + rule.processed,
+            rule.order.begin() + rule.batchEnd());
         std::sort(units.begin(), units.end());
         for (std::size_t c = 0; c < units.size(); c += chunk) {
             const std::size_t cEnd =
                 std::min<std::size_t>(units.size(), c + chunk);
-            pool.submit([&samples, &units, &library, &factory, config,
-                         c, cEnd] {
+            pool.submit([this, &samples, &units, &library, &factory, c,
+                         cEnd] {
                 std::unique_ptr<SimSession> session = factory();
                 LivePointLibrary::Cursor cursor(library);
                 LivePoint point;
                 for (std::size_t i = c; i < cEnd; ++i) {
                     cursor.materialize(units[i], point);
-                    measureLivePoint(*session, config, point,
-                                     samples[units[i]]);
+                    samples[units[i]] =
+                        measureLivePoint(*session, *this, point);
                 }
             });
         }
         pool.wait();
-
-        // The stop rule sees observations in SHUFFLE order — the
-        // randomized order is what makes the prefix an unbiased
-        // sample of the unit population at every cut point.
-        for (std::size_t i = processed; i < end; ++i) {
-            const UnitSample &sample = samples[order[i]];
-            if (sample.hasObs)
-                shuffled.add(sample.obs.cpi);
-        }
-        processed = end;
-
-        if (anytimeTargetMet(shuffled, options))
-            stopped = true;
+        rule.step(samples);
     }
-
-    return foldAnytime(samples, order, processed,
-                       library.streamLength());
+    return rule.result(samples, library.streamLength());
 }
 
 AnytimeResult
@@ -593,31 +526,30 @@ SystematicSampler::runAnytimeLeapfrog(SimSession &captureSession,
     if (!factory)
         SMARTS_FATAL("runAnytimeLeapfrog needs a session factory");
 
-    const SamplingConfig config = config_;
     const std::uint64_t chunk = options.chunk ? options.chunk : 1;
 
     // Sample slots live in a deque: push_back never moves existing
     // elements, so the capture thread keeps appending while pool
     // jobs write through the stable slot pointers they were handed.
     // Jobs never touch the container itself.
-    std::deque<UnitSample> samples;
+    std::deque<SliceResult> samples;
     std::vector<LivePoint> pendingPoints;
-    std::vector<UnitSample *> pendingSlots;
+    std::vector<SliceResult *> pendingSlots;
 
     auto flush = [&] {
         if (pendingPoints.empty())
             return;
         auto points = std::make_shared<std::vector<LivePoint>>(
             std::move(pendingPoints));
-        auto slots = std::make_shared<std::vector<UnitSample *>>(
+        auto slots = std::make_shared<std::vector<SliceResult *>>(
             std::move(pendingSlots));
         pendingPoints.clear();
         pendingSlots.clear();
-        pool.submit([points, slots, &factory, config] {
+        pool.submit([this, points, slots, &factory] {
             std::unique_ptr<SimSession> session = factory();
             for (std::size_t i = 0; i < points->size(); ++i)
-                measureLivePoint(*session, config, (*points)[i],
-                                 *(*slots)[i]);
+                *(*slots)[i] =
+                    measureLivePoint(*session, *this, (*points)[i]);
         });
     };
 
@@ -638,34 +570,15 @@ SystematicSampler::runAnytimeLeapfrog(SimSession &captureSession,
     flush();
     pool.wait();
 
-    // Stop-rule replay over the complete sample set: the identical
-    // shuffle, batch boundaries and streaming-CI arithmetic the
-    // warm path applies while measuring — the per-unit values are
-    // the same, so every accept/stop decision lands on the same
-    // batch and the reported AnytimeResult matches a warm
+    // Stop-rule replay over the complete sample set: the per-unit
+    // values equal the warm path's, so every accept/stop decision
+    // lands on the same batch and the AnytimeResult matches a warm
     // runAnytime bit for bit.
-    const std::size_t n = samples.size();
-    const std::vector<std::uint32_t> order =
-        shuffledOrder(n, options.seed);
-    const std::uint64_t batch = options.batch ? options.batch : 1;
-    stats::OnlineStats shuffled;
-    std::size_t processed = 0;
-    bool stopped = false;
-    while (processed < n && !stopped) {
-        const std::size_t end =
-            std::min<std::size_t>(n, processed + batch);
-        for (std::size_t i = processed; i < end; ++i) {
-            const UnitSample &sample = samples[order[i]];
-            if (sample.hasObs)
-                shuffled.add(sample.obs.cpi);
-        }
-        processed = end;
-        if (anytimeTargetMet(shuffled, options))
-            stopped = true;
-    }
-
+    AnytimeStopRule rule(samples.size(), options);
+    while (rule.running())
+        rule.step(samples);
     AnytimeResult result =
-        foldAnytime(samples, order, processed, library.streamLength());
+        rule.result(samples, library.streamLength());
     if (collect)
         *collect = std::move(library);
     return result;
@@ -678,12 +591,7 @@ SystematicSampler::measureUnits(SimSession &session,
                                 std::uint64_t unitCount,
                                 const ProgressTick &tick) const
 {
-    const SamplingConfig &built = library.samplingConfig();
-    if (built.unitSize != config_.unitSize ||
-        built.detailedWarming != config_.detailedWarming ||
-        built.interval != config_.interval ||
-        built.offset != config_.offset ||
-        built.warming != config_.warming)
+    if (library.samplingConfig() != config_)
         SMARTS_FATAL("live-point library was built for a different "
                      "sampling design");
     if (firstUnit + unitCount > library.unitCount())
@@ -699,14 +607,12 @@ SystematicSampler::measureUnits(SimSession &session,
     LivePoint point;
     for (std::uint64_t i = firstUnit; i < firstUnit + unitCount;
          ++i) {
-        UnitSample sample;
         cursor.materialize(i, point);
-        measureLivePoint(session, config_, point, sample);
-        if (sample.hasObs)
-            r.obs.push_back(sample.obs);
-        r.measured += sample.measured;
-        r.warmed += sample.warmed;
-        r.dropped += sample.dropped;
+        const SliceResult unit = measureLivePoint(session, *this, point);
+        r.obs.insert(r.obs.end(), unit.obs.begin(), unit.obs.end());
+        r.measured += unit.measured;
+        r.warmed += unit.warmed;
+        r.dropped += unit.dropped;
         if (tick && !tick())
             break; // abandoned: partial, not publishable.
     }

@@ -1,7 +1,5 @@
 #include "core/procedure.hh"
 
-#include <algorithm>
-
 #include "core/checkpoint_store.hh"
 #include "core/livepoint.hh"
 #include "util/logging.hh"
@@ -28,6 +26,22 @@ struct ShardedContext
     const uarch::MachineConfig *machine = nullptr;
 };
 
+/**
+ * The first-pass design of @p config over a @p streamLength stream:
+ * its U, W and warming mode, with k sized for about nInit units.
+ */
+SamplingConfig
+initialDesign(const ProcedureConfig &config, std::uint64_t streamLength)
+{
+    SamplingConfig sc;
+    sc.unitSize = config.unitSize;
+    sc.detailedWarming = config.detailedWarming;
+    sc.warming = config.warming;
+    sc.interval = SamplingConfig::chooseInterval(
+        streamLength, config.unitSize, config.nInit);
+    return sc;
+}
+
 /** One sampling pass: serial, checkpoint-sharded, or store-backed. */
 core::SmartsEstimate
 runPass(const SamplingConfig &sc,
@@ -50,12 +64,7 @@ twoPass(const ProcedureConfig &config,
         const SmartsProcedure::SessionFactory &factory,
         std::uint64_t streamLength, const ShardedContext &ctx)
 {
-    SamplingConfig sc;
-    sc.unitSize = config.unitSize;
-    sc.detailedWarming = config.detailedWarming;
-    sc.warming = config.warming;
-    sc.interval = SamplingConfig::chooseInterval(
-        streamLength, config.unitSize, config.nInit);
+    SamplingConfig sc = initialDesign(config, streamLength);
 
     ProcedureResult result;
     result.initial = runPass(sc, factory, streamLength, ctx);
@@ -133,13 +142,7 @@ SmartsProcedure::estimateAnytime(const SessionFactory &factory,
     // available units. The anytime run stops when the target is met,
     // so a dense grid costs nothing extra — it is headroom for
     // high-variance streams, not a commitment.
-    SamplingConfig sc;
-    sc.unitSize = config_.unitSize;
-    sc.detailedWarming = config_.detailedWarming;
-    sc.warming = config_.warming;
-    sc.interval = SamplingConfig::chooseInterval(
-        streamLength, config_.unitSize, config_.nInit);
-
+    const SamplingConfig sc = initialDesign(config_, streamLength);
     const LibraryKey key = LibraryKey::of(spec, machine, sc);
     AnytimeOptions options;
     options.target = config_.target;
@@ -169,44 +172,6 @@ SmartsProcedure::estimateAnytime(const SessionFactory &factory,
     if (!store.saveLivePoints(captured, key, &error))
         SMARTS_WARN("checkpoint store: could not persist ",
                     store.livePointPathFor(key), " (", error, ")");
-    return result;
-}
-
-MatchedProcedureResult
-SmartsProcedure::estimateMatched(const MultiSessionFactory &factory,
-                                 std::uint64_t streamLength) const
-{
-    SamplingConfig sc;
-    sc.unitSize = config_.unitSize;
-    sc.detailedWarming = config_.detailedWarming;
-    sc.warming = config_.warming;
-    sc.interval = SamplingConfig::chooseInterval(
-        streamLength, config_.unitSize, config_.nInit);
-
-    MatchedProcedureResult result;
-    {
-        auto session = factory();
-        result.initial = SystematicSampler(sc).runMatched(*session);
-    }
-
-    // Size n_tuned from the worst per-config V-hat; rerun only when
-    // any config's confidence interval misses the target.
-    double worstCv = 0.0;
-    double worstCi = 0.0;
-    for (const SmartsEstimate &est : result.initial.perConfig) {
-        worstCv = std::max(worstCv, est.cpiCv());
-        worstCi = std::max(
-            worstCi, est.cpiConfidenceInterval(config_.target.level));
-    }
-    result.recommendedN =
-        stats::requiredSampleSize(worstCv, config_.target);
-    if (worstCi <= config_.target.epsilon)
-        return result;
-
-    sc.interval = SamplingConfig::chooseInterval(
-        streamLength, config_.unitSize, result.recommendedN);
-    auto session = factory();
-    result.tuned = SystematicSampler(sc).runMatched(*session);
     return result;
 }
 

@@ -4,6 +4,8 @@
 
 #include "core/checkpoint.hh"
 #include "core/checkpoint_store.hh"
+#include "core/schedule.hh"
+#include "core/shard_executor.hh"
 #include "exec/thread_pool.hh"
 #include "util/logging.hh"
 
@@ -12,59 +14,29 @@ namespace smarts::core {
 namespace {
 
 /**
- * The serial sampling loop over one slice of the unit grid — shared
- * verbatim by run() (a single all-units slice), runSharded() (one
- * slice per shard resumed from its checkpoint) and, through the
- * public SystematicSampler::runSlice, the distributed runner — so
- * no execution path can drift from the serial semantics.
+ * The sampling visitor of every single-config slice (run, runSlice,
+ * the sharded and distributed paths, live-point replay): W and U run
+ * with detailedRun; each complete unit yields one observation, a
+ * truncated final unit's instructions count as dropped — detailed
+ * cost behind no observation. @p tick fires after each unit; false
+ * abandons the slice (partial, not publishable, no tail run).
  */
-SliceResult
-runSliceRange(SimSession &session, const SamplingConfig &config,
-              std::uint64_t startIdx, std::uint64_t maxUnits,
-              bool runTail, const ProgressTick &tick = {})
+struct SliceSampling : ScheduleVisitor
 {
-    const std::uint64_t u = config.unitSize;
-    const std::uint64_t w = config.detailedWarming;
-    const std::uint64_t k = config.interval;
+    SimSession &session;
+    SliceResult &r;
+    const ProgressTick &tick;
 
-    SliceResult r;
-    bool aborted = false;
-    std::uint64_t pos = session.instCount();
+    void
+    warm(std::uint64_t n)
+    {
+        r.warmed += session.detailedRun(n).instructions;
+    }
 
-    // O(1) jump to the first grid index whose unit starts at or
-    // after the session's position (resumed sessions).
-    std::uint64_t unitIdx = config.nextGridIndex(startIdx, pos);
-    std::uint64_t done = 0;
-
-    while (!session.finished() && done < maxUnits) {
-        // Grid index past any representable stream position: done
-        // (and the unitIdx * u product stays overflow-free).
-        if (unitIdx > ~0ull / u)
-            break;
-        const std::uint64_t unitStart = unitIdx * u;
-        const std::uint64_t warmStart =
-            unitStart > w ? unitStart - w : 0;
-
-        // Fast-forward the inter-unit gap in the warming mode.
-        if (warmStart > pos) {
-            pos += session.fastForward(warmStart - pos,
-                                       config.warming);
-            if (session.finished())
-                break;
-        }
-
-        // Detailed warming W: timing on, measurement discarded.
-        if (unitStart > pos) {
-            const Segment warm = session.detailedRun(unitStart - pos);
-            r.warmed += warm.instructions;
-            pos += warm.instructions;
-            if (session.finished())
-                break;
-        }
-
-        // The measured unit.
+    bool
+    measure(std::uint64_t u)
+    {
         const Segment seg = session.detailedRun(u);
-        pos += seg.instructions;
         if (seg.instructions == u) {
             r.measured += u;
             r.obs.push_back(
@@ -73,40 +45,101 @@ runSliceRange(SimSession &session, const SamplingConfig &config,
                  seg.energyNj /
                      static_cast<double>(seg.instructions)});
         } else {
-            // Truncated final unit: detailed-simulation cost that
-            // produced no observation — tracked apart from the
-            // measured instructions behind the statistics.
             r.dropped += seg.instructions;
         }
-        ++done;
-        unitIdx += k;
+        return !tick || tick();
+    }
+};
 
-        // Liveness hook between units; false abandons the slice
-        // (partial result, not publishable — skip the tail too).
-        if (tick && !tick()) {
-            aborted = true;
-            break;
-        }
+/** Matched sampling: every config observes the same W and U windows. */
+struct MatchedSampling : ScheduleVisitor
+{
+    MultiSession &session;
+    MatchedEstimate &est;
+
+    void
+    warm(std::uint64_t n)
+    {
+        const MultiSegment warm = session.detailedRun(n);
+        for (SmartsEstimate &e : est.perConfig)
+            e.instructionsWarmed += warm.instructions;
     }
 
-    // Run out the tail so streamLength is the true benchmark length.
-    if (runTail && !aborted)
-        while (!session.finished())
-            session.fastForward(~0ull >> 1, config.warming);
-    r.endPos = session.instCount();
-    return r;
-}
+    bool
+    measure(std::uint64_t u)
+    {
+        const MultiSegment seg = session.detailedRun(u);
+        if (seg.instructions != u) {
+            for (SmartsEstimate &e : est.perConfig)
+                e.instructionsDropped += seg.instructions;
+            return true;
+        }
+        const double cpi0 = static_cast<double>(seg.per[0].cycles) /
+                            static_cast<double>(u);
+        for (std::size_t c = 0; c < est.perConfig.size(); ++c) {
+            const double cpi = static_cast<double>(seg.per[c].cycles) /
+                               static_cast<double>(u);
+            est.perConfig[c].instructionsMeasured += u;
+            est.perConfig[c].cpiStats.add(cpi);
+            est.perConfig[c].epiStats.add(
+                seg.per[c].energyNj / static_cast<double>(u));
+            est.cpiDelta[c].add(cpi - cpi0);
+        }
+        return true;
+    }
+};
 
 } // namespace
+
+/** The solo tier of the shard executor (core/shard_executor.hh). */
+struct SystematicSampler::ShardTier
+{
+    using Checkpoint = ArchCheckpoint;
+    using Library = CheckpointLibrary;
+    using Slice = SliceResult;
+    using Estimate = SmartsEstimate;
+
+    const SystematicSampler &sampler;
+    const SessionFactory &factory;
+
+    SliceResult
+    runShard(const ShardSpec &shard, const ArchCheckpoint *cp) const
+    {
+        std::unique_ptr<SimSession> session = factory();
+        if (cp)
+            session->restoreState(cp->arch, cp->timing);
+        return sampler.runSlice(*session, shard);
+    }
+
+    std::uint64_t
+    capture(const std::vector<ShardSpec> &plan,
+            const CheckpointLibrary::CheckpointSink &sink) const
+    {
+        std::unique_ptr<SimSession> session = factory();
+        CheckpointLibrary::capture(*session, sampler.config_, plan, sink);
+        return session->instCount();
+    }
+
+    static SmartsEstimate emptyEstimate() { return {}; }
+
+    static void
+    foldSlice(SmartsEstimate &est, const SliceResult &slice)
+    {
+        SystematicSampler::foldSlice(est, slice);
+    }
+};
 
 SliceResult
 SystematicSampler::runSlice(SimSession &session,
                             const ShardSpec &shard,
                             const ProgressTick &tick) const
 {
-    return runSliceRange(session, config_, shard.firstUnitIndex,
-                         shard.runsTail ? ~0ull : shard.unitCount,
-                         shard.runsTail, tick);
+    SliceResult r;
+    walkSchedule(session, config_, shard.firstUnitIndex,
+                 shard.runsTail ? ~0ull : shard.unitCount,
+                 shard.runsTail, SliceSampling{{}, session, r, tick});
+    r.endPos = session.instCount();
+    return r;
 }
 
 void
@@ -136,91 +169,24 @@ SystematicSampler::SystematicSampler(const SamplingConfig &config)
 SmartsEstimate
 SystematicSampler::run(SimSession &session) const
 {
+    ShardSpec all;
+    all.firstUnitIndex = config_.offset;
+    all.runsTail = true;
     SmartsEstimate est;
-    foldSlice(est, runSliceRange(session, config_, config_.offset,
-                                 ~0ull, /*runTail=*/true));
+    foldSlice(est, runSlice(session, all));
     return est;
 }
 
 MatchedEstimate
 SystematicSampler::runMatched(MultiSession &session) const
 {
-    const std::uint64_t u = config_.unitSize;
-    const std::uint64_t w = config_.detailedWarming;
-    const std::uint64_t k = config_.interval;
-    const std::size_t n = session.configCount();
-
     MatchedEstimate est;
-    est.perConfig.resize(n);
-    est.cpiDelta.resize(n);
-
-    std::uint64_t pos = session.instCount();
-
-    // O(1) jump to the grid (resumed sessions), as in runSlice.
-    std::uint64_t unitIdx =
-        config_.nextGridIndex(config_.offset, pos);
-
-    while (!session.finished()) {
-        if (unitIdx > ~0ull / u)
-            break;
-        const std::uint64_t unitStart = unitIdx * u;
-        const std::uint64_t warmStart =
-            unitStart > w ? unitStart - w : 0;
-
-        // Fast-forward the inter-unit gap in the warming mode: one
-        // interpretation pass warms every config's state.
-        if (warmStart > pos) {
-            pos += session.fastForward(warmStart - pos,
-                                       config_.warming);
-            if (session.finished())
-                break;
-        }
-
-        // Detailed warming W: timing on, measurement discarded.
-        if (unitStart > pos) {
-            const MultiSegment warm =
-                session.detailedRun(unitStart - pos);
-            for (std::size_t c = 0; c < n; ++c)
-                est.perConfig[c].instructionsWarmed +=
-                    warm.instructions;
-            pos += warm.instructions;
-            if (session.finished())
-                break;
-        }
-
-        // The measured unit: every config observes the same window.
-        const MultiSegment seg = session.detailedRun(u);
-        pos += seg.instructions;
-        if (seg.instructions == u) {
-            for (std::size_t c = 0; c < n; ++c)
-                est.perConfig[c].instructionsMeasured +=
-                    seg.instructions;
-            const double cpi0 = static_cast<double>(seg.per[0].cycles) /
-                                static_cast<double>(u);
-            for (std::size_t c = 0; c < n; ++c) {
-                const double cpi =
-                    static_cast<double>(seg.per[c].cycles) /
-                    static_cast<double>(u);
-                est.perConfig[c].cpiStats.add(cpi);
-                est.perConfig[c].epiStats.add(
-                    seg.per[c].energyNj /
-                    static_cast<double>(seg.instructions));
-                est.cpiDelta[c].add(cpi - cpi0);
-            }
-        } else {
-            // Truncated final unit: mirror runSlice's accounting.
-            for (std::size_t c = 0; c < n; ++c)
-                est.perConfig[c].instructionsDropped +=
-                    seg.instructions;
-        }
-        unitIdx += k;
-    }
-
-    // Run out the tail so streamLength is the true benchmark length.
-    while (!session.finished())
-        session.fastForward(~0ull >> 1, config_.warming);
-    for (std::size_t c = 0; c < n; ++c)
-        est.perConfig[c].streamLength = session.instCount();
+    est.perConfig.resize(session.configCount());
+    est.cpiDelta.resize(session.configCount());
+    walkSchedule(session, config_, config_.offset, ~0ull,
+                 /*runTail=*/true, MatchedSampling{{}, session, est});
+    for (SmartsEstimate &e : est.perConfig)
+        e.streamLength = session.instCount();
     return est;
 }
 
@@ -247,56 +213,8 @@ SystematicSampler::runShardedCold(const SessionFactory &factory,
         CheckpointLibrary::planShards(config_, streamLength, shards);
     if (collect)
         *collect = CheckpointLibrary::prepare(config_, plan);
-
-    std::vector<SliceResult> results(plan.size());
-    const SamplingConfig config = config_;
-
-    // Each shard job writes only its own result slot; pool.wait()
-    // publishes every slot to this thread, so the batch is
-    // bit-identical at any thread count.
-    auto submitShard = [&results, &pool, &factory, &plan,
-                        config](std::size_t s, ArchCheckpoint &&cp) {
-        pool.submit([&results, &factory, &plan, config, s,
-                     cp = std::move(cp)] {
-            std::unique_ptr<SimSession> session = factory();
-            if (s)
-                session->restoreState(cp.arch, cp.timing);
-            const ShardSpec &shard = plan[s];
-            results[s] = runSliceRange(
-                *session, config, shard.firstUnitIndex,
-                shard.runsTail ? ~0ull : shard.unitCount,
-                shard.runsTail);
-        });
-    };
-
-    // Shard 0 resumes at stream start: dispatch it before the
-    // capture pass so it overlaps checkpoint production.
-    submitShard(0, ArchCheckpoint{});
-
-    std::uint64_t capturePos = 0;
-    if (plan.size() > 1) {
-        std::unique_ptr<SimSession> captureSession = factory();
-        CheckpointLibrary::capture(
-            *captureSession, config_, plan,
-            [&submitShard, collect](std::size_t s,
-                                    ArchCheckpoint &&cp) {
-                if (collect)
-                    collect->record(s, cp);
-                submitShard(s, std::move(cp));
-            });
-        capturePos = captureSession->instCount();
-    }
-    pool.wait();
-
-    SmartsEstimate est;
-    for (const SliceResult &slice : results)
-        foldSlice(est, slice);
-    // Normally the tail shard ran the stream out; if the plan
-    // overstated the stream (caller passed a wrong length), the
-    // capture pass's own progress still bounds what was simulated.
-    if (capturePos > est.streamLength)
-        est.streamLength = capturePos;
-    return est;
+    return executeShards(ShardTier{*this, factory}, plan, pool, nullptr,
+                         collect);
 }
 
 SmartsEstimate
@@ -335,39 +253,13 @@ SystematicSampler::runSharded(const SessionFactory &factory,
 {
     if (!factory)
         SMARTS_FATAL("runSharded needs a session factory");
-    const SamplingConfig &built = library.samplingConfig();
-    if (built.unitSize != config_.unitSize ||
-        built.detailedWarming != config_.detailedWarming ||
-        built.interval != config_.interval ||
-        built.offset != config_.offset ||
-        built.warming != config_.warming)
+    if (library.samplingConfig() != config_)
         SMARTS_FATAL("checkpoint library was built for a different "
                      "sampling design");
-    const std::vector<ShardSpec> &plan = library.plan();
-    if (plan.empty())
+    if (library.plan().empty())
         SMARTS_FATAL("checkpoint library has no shards");
-
-    std::vector<SliceResult> results(plan.size());
-    const SamplingConfig config = config_;
-    for (std::size_t s = 0; s < plan.size(); ++s) {
-        pool.submit([&results, &factory, &plan, &library, config, s] {
-            std::unique_ptr<SimSession> session = factory();
-            if (s)
-                session->restoreState(library.at(s).arch,
-                                      library.at(s).timing);
-            const ShardSpec &shard = plan[s];
-            results[s] = runSliceRange(
-                *session, config, shard.firstUnitIndex,
-                shard.runsTail ? ~0ull : shard.unitCount,
-                shard.runsTail);
-        });
-    }
-    pool.wait();
-
-    SmartsEstimate est;
-    for (const SliceResult &slice : results)
-        foldSlice(est, slice);
-    return est;
+    return executeShards(ShardTier{*this, factory}, library.plan(), pool,
+                         &library);
 }
 
 } // namespace smarts::core

@@ -4,6 +4,8 @@
 #include <utility>
 
 #include "core/checkpoint_store.hh"
+#include "core/schedule.hh"
+#include "core/shard_executor.hh"
 #include "exec/thread_pool.hh"
 #include "util/logging.hh"
 
@@ -12,98 +14,94 @@ namespace smarts::mp {
 namespace {
 
 /**
- * The serial mix sampling loop over one slice of the unit grid —
- * core::runSliceRange with rounds for positions and per-lane
- * dual-world observations. Shared by run() and every sharded mode so
- * no path can drift from the serial semantics.
+ * The mix sampling visitor: core/sampler.cc's single-config slice
+ * visitor with rounds for positions and per-lane dual-world
+ * observations — every program observes the same U-round
+ * (= U-instruction) window, in both worlds.
  */
-MixSliceResult
-runMixSliceRange(MixSession &session,
-                 const core::SamplingConfig &config,
-                 std::uint64_t startIdx, std::uint64_t maxUnits,
-                 bool runTail)
+struct MixSliceSampling : core::ScheduleVisitor
 {
-    const std::uint64_t u = config.unitSize;
-    const std::uint64_t w = config.detailedWarming;
-    const std::uint64_t k = config.interval;
-    const std::size_t n = session.programCount();
+    MixSession &session;
+    MixSliceResult &r;
 
-    MixSliceResult r;
-    std::uint64_t pos = session.roundCount();
-
-    // O(1) jump to the first grid index whose unit starts at or
-    // after the session's position (resumed sessions).
-    std::uint64_t unitIdx = config.nextGridIndex(startIdx, pos);
-    std::uint64_t done = 0;
-
-    while (!session.finished() && done < maxUnits) {
-        if (unitIdx > ~0ull / u)
-            break;
-        const std::uint64_t unitStart = unitIdx * u;
-        const std::uint64_t warmStart =
-            unitStart > w ? unitStart - w : 0;
-
-        // Fast-forward the inter-unit gap in the warming mode.
-        if (warmStart > pos) {
-            pos += session.fastForward(warmStart - pos,
-                                       config.warming);
-            if (session.finished())
-                break;
-        }
-
-        // Detailed warming W: timing on, measurement discarded.
-        if (unitStart > pos) {
-            const MixSegment warm =
-                session.detailedRun(unitStart - pos);
-            r.warmed += warm.rounds;
-            pos += warm.rounds;
-            if (session.finished())
-                break;
-        }
-
-        // The measured unit: every program observes the same
-        // U-round (= U-instruction) window, in both worlds.
-        const MixSegment seg = session.detailedRun(u);
-        pos += seg.rounds;
-        if (seg.rounds == u) {
-            r.measured += u;
-            MixUnitObservation o;
-            o.per.resize(n);
-            for (std::size_t p = 0; p < n; ++p) {
-                const MixLaneSegment &ls = seg.per[p];
-                MixLaneObservation &lo = o.per[p];
-                lo.coCpi = static_cast<double>(ls.coCycles) /
-                           static_cast<double>(u);
-                lo.coEpi =
-                    ls.coEnergyNj / static_cast<double>(u);
-                lo.soloCpi = static_cast<double>(ls.soloCycles) /
-                             static_cast<double>(u);
-                lo.soloEpi =
-                    ls.soloEnergyNj / static_cast<double>(u);
-                lo.sharedAccesses = ls.sharedAccesses;
-                lo.sharedMisses = ls.sharedMisses;
-                lo.shadowAccesses = ls.shadowAccesses;
-                lo.shadowMisses = ls.shadowMisses;
-            }
-            r.obs.push_back(std::move(o));
-        } else {
-            // Truncated final unit: detailed-simulation cost that
-            // produced no observation.
-            r.dropped += seg.rounds;
-        }
-        ++done;
-        unitIdx += k;
+    void
+    warm(std::uint64_t n)
+    {
+        r.warmed += session.detailedRun(n).rounds;
     }
 
-    // Run out the tail so endPos is the true mix stream length.
-    if (runTail)
-        while (!session.finished())
-            session.fastForward(~0ull >> 1, config.warming);
-    r.endPos = session.roundCount();
-    return r;
-}
+    bool
+    measure(std::uint64_t u)
+    {
+        const MixSegment seg = session.detailedRun(u);
+        if (seg.rounds != u) {
+            r.dropped += seg.rounds; // truncated final unit.
+            return true;
+        }
+        r.measured += u;
+        MixUnitObservation o;
+        o.per.resize(session.programCount());
+        for (std::size_t p = 0; p < o.per.size(); ++p) {
+            const MixLaneSegment &ls = seg.per[p];
+            MixLaneObservation &lo = o.per[p];
+            lo.coCpi = static_cast<double>(ls.coCycles) /
+                       static_cast<double>(u);
+            lo.coEpi = ls.coEnergyNj / static_cast<double>(u);
+            lo.soloCpi = static_cast<double>(ls.soloCycles) /
+                         static_cast<double>(u);
+            lo.soloEpi = ls.soloEnergyNj / static_cast<double>(u);
+            lo.sharedAccesses = ls.sharedAccesses;
+            lo.sharedMisses = ls.sharedMisses;
+            lo.shadowAccesses = ls.shadowAccesses;
+            lo.shadowMisses = ls.shadowMisses;
+        }
+        r.obs.push_back(std::move(o));
+        return true;
+    }
+};
 
 } // namespace
+
+/** The co-run tier of the shard executor (core/shard_executor.hh). */
+struct MixSampler::ShardTier
+{
+    using Checkpoint = MixCheckpoint;
+    using Library = MixLibrary;
+    using Slice = MixSliceResult;
+    using Estimate = MixEstimate;
+
+    const MixSampler &sampler;
+
+    MixSliceResult
+    runShard(const core::ShardSpec &shard, const MixCheckpoint *cp) const
+    {
+        MixSession session = sampler.makeSession();
+        if (cp)
+            session.restoreState(cp->state);
+        return sampler.runSlice(session, shard);
+    }
+
+    std::uint64_t
+    capture(const std::vector<core::ShardSpec> &plan,
+            const MixLibrary::CheckpointSink &sink) const
+    {
+        MixSession session = sampler.makeSession();
+        MixLibrary::capture(session, sampler.sampling_, plan, sink);
+        return session.roundCount();
+    }
+
+    MixEstimate
+    emptyEstimate() const
+    {
+        return sampler.emptyEstimate();
+    }
+
+    static void
+    foldSlice(MixEstimate &est, const MixSliceResult &slice)
+    {
+        MixSampler::foldSlice(est, slice);
+    }
+};
 
 MixSampler::MixSampler(const WorkloadMix &mix,
                        const uarch::MachineConfig &machine,
@@ -176,20 +174,23 @@ MixSliceResult
 MixSampler::runSlice(MixSession &session,
                      const core::ShardSpec &shard) const
 {
-    return runMixSliceRange(session, sampling_,
-                            shard.firstUnitIndex,
-                            shard.runsTail ? ~0ull : shard.unitCount,
-                            shard.runsTail);
+    MixSliceResult r;
+    core::walkSchedule(session, sampling_, shard.firstUnitIndex,
+                       shard.runsTail ? ~0ull : shard.unitCount,
+                       shard.runsTail, MixSliceSampling{{}, session, r});
+    r.endPos = session.roundCount();
+    return r;
 }
 
 MixEstimate
 MixSampler::run() const
 {
     MixSession session = makeSession();
+    core::ShardSpec all;
+    all.firstUnitIndex = sampling_.offset;
+    all.runsTail = true;
     MixEstimate est = emptyEstimate();
-    foldSlice(est,
-              runMixSliceRange(session, sampling_, sampling_.offset,
-                               ~0ull, /*runTail=*/true));
+    foldSlice(est, runSlice(session, all));
     return est;
 }
 
@@ -212,88 +213,21 @@ MixSampler::runShardedCold(std::uint64_t streamLength,
                                             shards);
     if (collect)
         *collect = MixLibrary::prepare(sampling_, plan);
-
-    std::vector<MixSliceResult> results(plan.size());
-
-    // Each shard job writes only its own result slot; pool.wait()
-    // publishes every slot to this thread, so the batch is
-    // bit-identical at any thread count.
-    auto submitShard = [&results, &pool, &plan,
-                        this](std::size_t s, MixCheckpoint &&cp) {
-        pool.submit([&results, &plan, this, s,
-                     cp = std::move(cp)] {
-            MixSession session = makeSession();
-            if (s)
-                session.restoreState(cp.state);
-            results[s] = runSlice(session, plan[s]);
-        });
-    };
-
-    // Shard 0 resumes at round 0: dispatch it before the capture
-    // pass so it overlaps checkpoint production.
-    submitShard(0, MixCheckpoint{});
-
-    std::uint64_t capturePos = 0;
-    if (plan.size() > 1) {
-        MixSession captureSession = makeSession();
-        MixLibrary::capture(
-            captureSession, sampling_, plan,
-            [&submitShard, collect](std::size_t s,
-                                    MixCheckpoint &&cp) {
-                if (collect)
-                    collect->record(s, cp);
-                submitShard(s, std::move(cp));
-            });
-        capturePos = captureSession.roundCount();
-    }
-    pool.wait();
-
-    MixEstimate est = emptyEstimate();
-    for (const MixSliceResult &slice : results)
-        foldSlice(est, slice);
-    // Normally the tail shard ran the stream out; if the plan
-    // overstated the stream, the capture pass's own progress still
-    // bounds what was simulated.
-    for (MixProgramEstimate &pe : est.perProgram) {
-        if (capturePos > pe.coRun.streamLength)
-            pe.coRun.streamLength = capturePos;
-        if (capturePos > pe.solo.streamLength)
-            pe.solo.streamLength = capturePos;
-    }
-    return est;
+    return core::executeShards(ShardTier{*this}, plan, pool, nullptr,
+                               collect);
 }
 
 MixEstimate
 MixSampler::runSharded(const MixLibrary &library,
                        exec::ThreadPool &pool) const
 {
-    const core::SamplingConfig &built = library.samplingConfig();
-    if (built.unitSize != sampling_.unitSize ||
-        built.detailedWarming != sampling_.detailedWarming ||
-        built.interval != sampling_.interval ||
-        built.offset != sampling_.offset ||
-        built.warming != sampling_.warming)
+    if (library.samplingConfig() != sampling_)
         SMARTS_FATAL("mix library was built for a different "
                      "sampling design");
-    const std::vector<core::ShardSpec> &plan = library.plan();
-    if (plan.empty())
+    if (library.plan().empty())
         SMARTS_FATAL("mix library has no shards");
-
-    std::vector<MixSliceResult> results(plan.size());
-    for (std::size_t s = 0; s < plan.size(); ++s) {
-        pool.submit([&results, &plan, &library, this, s] {
-            MixSession session = makeSession();
-            if (s)
-                session.restoreState(library.at(s).state);
-            results[s] = runSlice(session, plan[s]);
-        });
-    }
-    pool.wait();
-
-    MixEstimate est = emptyEstimate();
-    for (const MixSliceResult &slice : results)
-        foldSlice(est, slice);
-    return est;
+    return core::executeShards(ShardTier{*this}, library.plan(), pool,
+                               &library);
 }
 
 MixEstimate

@@ -162,37 +162,6 @@ testJobSeedIsSchedulingIndependent()
 }
 
 void
-testSingleConfigEngineMatchesClassicSampler()
-{
-    const auto c8 = uarch::MachineConfig::eightWay();
-    const auto spec =
-        workloads::findBenchmark("fsm-1", workloads::Scale::Mini);
-    core::SamplingConfig sc;
-    sc.unitSize = 1000;
-    sc.detailedWarming = 2000;
-    sc.interval = 25;
-    sc.warming = core::WarmingMode::Functional;
-
-    core::SimSession classic(spec, c8);
-    const core::SmartsEstimate a =
-        core::SystematicSampler(sc).run(classic);
-
-    core::MultiSession multi(spec, {c8});
-    const core::MatchedEstimate b =
-        core::SystematicSampler(sc).runMatched(multi);
-
-    CHECK_EQ(a.units(), b.perConfig[0].units());
-    CHECK_EQ(a.instructionsMeasured,
-             b.perConfig[0].instructionsMeasured);
-    CHECK_EQ(a.instructionsWarmed, b.perConfig[0].instructionsWarmed);
-    CHECK_EQ(a.streamLength, b.perConfig[0].streamLength);
-    // Bit-exact, not just close:
-    CHECK_EQ(a.cpi(), b.perConfig[0].cpi());
-    CHECK_EQ(a.epi(), b.perConfig[0].epi());
-    CHECK_EQ(a.cpiStats.variance(), b.perConfig[0].cpiStats.variance());
-}
-
-void
 testMatchedPairsShareUnits()
 {
     const auto c8 = uarch::MachineConfig::eightWay();
@@ -231,6 +200,62 @@ testMatchedPairsShareUnits()
           est.independentDeltaCiRelative(1, 0.997));
 }
 
+/**
+ * runMatched must leave every config's estimate bit-identical — the
+ * full SmartsEstimate::fingerprint(), truncation counters included —
+ * to a dedicated single-config run(), for a one-config and a
+ * two-config MultiSession, over the schedule's edge designs: the
+ * default grid, a sparse grid, detailed warming W longer than the
+ * gap between measured units (no gap is fast-forwarded; W starts
+ * inside the previous unit), and the truncation-prone k = 1 / W = 0
+ * design (the stream ends inside a measured unit).
+ */
+void
+testMatchedEngineMatchesClassicSampler()
+{
+    const auto c8 = uarch::MachineConfig::eightWay();
+    const auto c16 = uarch::MachineConfig::sixteenWay();
+    struct Design
+    {
+        const char *benchmark;
+        std::uint64_t u, w, k, offset;
+    };
+    const Design designs[] = {{"sort-1", 1000, 2000, 10, 0},
+                              {"fsm-1", 1000, 2000, 25, 0},
+                              {"fsm-1", 1000, 2500, 2, 1},
+                              {"alu-1", 999, 0, 1, 0}};
+    for (const Design &d : designs) {
+        const auto spec =
+            workloads::findBenchmark(d.benchmark, workloads::Scale::Mini);
+        core::SamplingConfig sc;
+        sc.unitSize = d.u;
+        sc.detailedWarming = d.w;
+        sc.interval = d.k;
+        sc.offset = d.offset;
+        sc.warming = core::WarmingMode::Functional;
+
+        for (const std::vector<uarch::MachineConfig> &configs :
+             {std::vector<uarch::MachineConfig>{c8},
+              std::vector<uarch::MachineConfig>{c8, c16}}) {
+            core::MultiSession multi(spec, configs);
+            const core::MatchedEstimate matched =
+                core::SystematicSampler(sc).runMatched(multi);
+            CHECK_EQ(matched.perConfig.size(), configs.size());
+            for (std::size_t c = 0; c < configs.size(); ++c) {
+                core::SimSession single(spec, configs[c]);
+                const core::SmartsEstimate ref =
+                    core::SystematicSampler(sc).run(single);
+                CHECK(ref.units() > 0);
+                CHECK(matched.perConfig[c].fingerprint() ==
+                      ref.fingerprint());
+            }
+            // The truncation design must actually truncate.
+            if (d.k == 1)
+                CHECK(matched.perConfig[0].instructionsDropped > 0);
+        }
+    }
+}
+
 } // namespace
 
 int
@@ -240,7 +265,7 @@ main()
     testPoolUnevenJobsSteal();
     testEstimatesIdenticalAcrossThreadCounts();
     testJobSeedIsSchedulingIndependent();
-    testSingleConfigEngineMatchesClassicSampler();
+    testMatchedEngineMatchesClassicSampler();
     testMatchedPairsShareUnits();
     TEST_MAIN_SUMMARY();
 }

@@ -124,6 +124,54 @@ testMixThreadDeterminism()
 }
 
 /**
+ * Serial run() must equal runSharded at 1, 2 and 5 shards — cold
+ * (pipelined capture) and from a built MixLibrary — over the
+ * schedule's edge designs: the default grid, detailed warming W
+ * longer than the gap between measured units, and the
+ * truncation-prone k = 1 / W = 0 design (the stream ends inside a
+ * measured unit).
+ */
+void
+testMixShardedMatchesSerialAcrossDesigns()
+{
+    const uarch::MachineConfig machine =
+        uarch::MachineConfig::eightWay();
+    const mp::WorkloadMix mix =
+        contendedMix(mem::PartitionPolicy::Shared);
+    core::SamplingConfig wide = mixSampling();
+    wide.detailedWarming = 1200;
+    wide.interval = 2;
+    wide.offset = 1;
+    core::SamplingConfig truncating = mixSampling();
+    truncating.unitSize = 999;
+    truncating.detailedWarming = 0;
+    truncating.interval = 1;
+
+    exec::ThreadPool pool(2);
+    for (const core::SamplingConfig &sc :
+         {mixSampling(), wide, truncating}) {
+        const mp::MixSampler sampler(mix, machine, sc);
+        const mp::MixEstimate serial = sampler.run();
+        CHECK(serial.perProgram[0].coRun.units() > 0);
+        if (sc.interval == 1)
+            CHECK(serial.perProgram[0].coRun.instructionsDropped > 0);
+        const std::uint64_t length = sampler.measureStreamLength();
+        for (const std::size_t shards :
+             {std::size_t(1), std::size_t(2), std::size_t(5)}) {
+            CHECK(sampler.runSharded(length, shards, pool)
+                      .fingerprint() == serial.fingerprint());
+            mp::MixSession capture = sampler.makeSession();
+            const mp::MixLibrary library = mp::MixLibrary::build(
+                capture, sc,
+                core::CheckpointLibrary::planShards(sc, length,
+                                                    shards));
+            CHECK(sampler.runSharded(library, pool).fingerprint() ==
+                  serial.fingerprint());
+        }
+    }
+}
+
+/**
  * estimateMix through a CheckpointStore: the cold run captures and
  * persists the mix library, the warm run loads it back, and both
  * estimates are byte-identical (to each other and to serial).
@@ -327,6 +375,7 @@ main()
     fs::create_directories(kRoot);
 
     testMixThreadDeterminism();
+    testMixShardedMatchesSerialAcrossDesigns();
     testMixStoreColdVsWarm();
     testMixLibraryRoundtripAndRefusals();
     testCheckpointV1MigrationLoad();

@@ -317,6 +317,21 @@ testRefusals()
         CHECK(why.find("sampling-design") != std::string::npos);
     }
 
+    // Sampling-design mismatch in the warming mode alone: the
+    // diagnostic must name both modes, not print two identical
+    // U/W/k/j designs.
+    {
+        core::LibraryKey keyW = key;
+        keyW.sampling.warming = core::WarmingMode::CachesOnly;
+        std::string why;
+        const auto result =
+            core::CheckpointLibrary::load(path, keyW, &why);
+        CHECK(!result.has_value());
+        CHECK(why.find("sampling-design") != std::string::npos);
+        CHECK(why.find("func") != std::string::npos);
+        CHECK(why.find("cache") != std::string::npos);
+    }
+
     // Benchmark mismatch.
     {
         core::LibraryKey keyB = key;
