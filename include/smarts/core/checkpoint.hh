@@ -43,6 +43,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/multi_session.hh"
@@ -57,10 +58,10 @@ namespace smarts::core {
 
 /**
  * On-disk library format version (docs/checkpoint-format.md).
- * Version 2 adds a FLAVOR byte after the endianness marker so one
- * `.smck` container carries either solo (flavor 0) or co-run mix
- * (flavor 1, mp::MixLibrary) state; version-1 files — always solo —
- * still load (the v1→v2 migration path, tests/test_mix.cc).
+ * Version 2 carries a FLAVOR byte after the endianness marker so one
+ * `.smck` container holds either solo (flavor 0) or co-run mix
+ * (flavor 1, mp::MixLibrary) state. Any other version is refused:
+ * the store is a cache, so an old file is a miss and a recapture.
  */
 constexpr std::uint32_t kCheckpointFormatVersion = 2;
 
@@ -68,57 +69,10 @@ constexpr std::uint32_t kCheckpointFormatVersion = 2;
 constexpr char kCheckpointMagic[8] = {'S', 'M', 'R', 'T',
                                       'C', 'K', 'P', 'T'};
 
-/**
- * Endianness probe: written as a u32 through the little-endian
- * encoder, so the file always carries bytes 04 03 02 01. An external
- * reader that decodes it as anything but 0x01020304 is applying the
- * wrong byte order.
- */
-constexpr std::uint32_t kCheckpointEndianMark = 0x01020304u;
 
 /** v2 flavor byte: which session tier's state the payload carries. */
 constexpr std::uint8_t kCheckpointFlavorSolo = 0;
 constexpr std::uint8_t kCheckpointFlavorMix = 1;
-
-/** Full warm simulator state, resumable into a same-spec session. */
-struct ArchCheckpoint
-{
-    ArchState arch;
-    TimingState timing;
-
-    /** Instruction position the checkpoint resumes at. */
-    std::uint64_t position = 0;
-
-    /** First measured grid index of the shard this resume feeds. */
-    std::uint64_t unitIndex = 0;
-
-    /** Approximate serialized footprint, for capacity planning. */
-    std::size_t
-    byteSize() const
-    {
-        return arch.byteSize() + timing.byteSize() +
-               2 * sizeof(std::uint64_t);
-    }
-
-    /** Field order is normative: docs/checkpoint-format.md. */
-    void
-    write(util::BinaryWriter &out) const
-    {
-        out.u64(position);
-        out.u64(unitIndex);
-        arch.write(out);
-        timing.write(out);
-    }
-
-    void
-    read(util::BinaryReader &in)
-    {
-        position = in.u64();
-        unitIndex = in.u64();
-        arch.read(in);
-        timing.read(in);
-    }
-};
 
 /**
  * Identity of a persisted checkpoint library: what must match, field
@@ -167,6 +121,66 @@ struct LibraryKey
     std::string mismatchAgainst(const LibraryKey &other) const;
 };
 
+/**
+ * Full warm simulator state, resumable into a same-spec session —
+ * the solo flavor of ShardLibrary (see there for the flavor hooks).
+ */
+struct ArchCheckpoint
+{
+    ArchState arch;
+    TimingState timing;
+
+    /** Instruction position the checkpoint resumes at. */
+    std::uint64_t position = 0;
+
+    /** First measured grid index of the shard this resume feeds. */
+    std::uint64_t unitIndex = 0;
+
+    using Key = LibraryKey;
+    static constexpr std::uint8_t kFlavor = kCheckpointFlavorSolo;
+
+    /** Approximate serialized footprint, for capacity planning. */
+    std::size_t
+    byteSize() const
+    {
+        return arch.byteSize() + timing.byteSize() +
+               2 * sizeof(std::uint64_t);
+    }
+
+    /** Field order is normative: docs/checkpoint-format.md. */
+    void
+    write(util::BinaryWriter &out) const
+    {
+        out.u64(position);
+        out.u64(unitIndex);
+        arch.write(out);
+        timing.write(out);
+    }
+
+    void
+    read(util::BinaryReader &in)
+    {
+        position = in.u64();
+        unitIndex = in.u64();
+        arch.read(in);
+        timing.read(in);
+    }
+
+    void
+    snap(const SimSession &session)
+    {
+        session.saveState(arch, timing);
+    }
+
+    /** Solo: an empty identity block and no extra check. */
+    static void writeIdentity(const Key &, util::BinaryWriter &) {}
+    static std::string readIdentity(util::BinaryReader &, const Key &)
+    {
+        return {};
+    }
+    std::string check(const Key &) const { return {}; }
+};
+
 /** One contiguous slice of a sampling run's measured-unit grid. */
 struct ShardSpec
 {
@@ -181,6 +195,30 @@ struct ShardSpec
 
     /** Last shard: run the stream out so streamLength is exact. */
     bool runsTail = false;
+
+    /**
+     * Field order is normative (docs/checkpoint-format.md): the
+     * `.smck` plan and the distributed job manifest both use it.
+     */
+    void
+    write(util::BinaryWriter &out) const
+    {
+        out.u64(firstUnitIndex);
+        out.u64(unitCount);
+        out.u64(resumePos);
+        out.u8(runsTail ? 1 : 0);
+    }
+
+    static ShardSpec
+    read(util::BinaryReader &in)
+    {
+        ShardSpec shard;
+        shard.firstUnitIndex = in.u64();
+        shard.unitCount = in.u64();
+        shard.resumePos = in.u64();
+        shard.runsTail = in.u8() != 0;
+        return shard;
+    }
 };
 
 /**
@@ -249,20 +287,12 @@ captureSchedule(Session &session, const SamplingConfig &config,
 } // namespace detail
 
 /**
- * A built checkpoint library: the shard plan plus every captured
- * resume checkpoint, reusable across runs. Capturing costs roughly
- * one warming pass; once built, sharded measurement of the same
- * (benchmark, sampling design) scales with threads and re-runs —
- * the tuned second pass of the two-pass procedure, config sweeps,
- * repeated design studies — pay no warming at all.
+ * The flavor-independent half of every shard library: its sampling
+ * design and shard plan, and the one definition of a legal plan.
  */
-class CheckpointLibrary
+class ShardLibraryBase
 {
   public:
-    /** Called as checkpoint @p shard becomes available (shard >= 1). */
-    using CheckpointSink =
-        std::function<void(std::size_t shard, ArchCheckpoint &&)>;
-
     /**
      * Split the measured-unit grid of (@p config, @p streamLength)
      * into at most @p shards contiguous, non-empty shards (clamped
@@ -290,94 +320,6 @@ class CheckpointLibrary
     validatePlan(const SamplingConfig &config,
                  const std::vector<ShardSpec> &plan);
 
-    /**
-     * Stream @p session (fresh, at stream start) through the serial
-     * sampling schedule using state-equivalent warming, invoking
-     * @p sink the moment each shard's resume state is reached.
-     * Shard 0 resumes at stream start and gets no checkpoint. The
-     * pass stops after the last checkpoint — the tail belongs to
-     * the last shard.
-     */
-    static void capture(SimSession &session,
-                        const SamplingConfig &config,
-                        const std::vector<ShardSpec> &plan,
-                        const CheckpointSink &sink);
-
-    /**
-     * Capture every checkpoint of @p plan into a reusable library
-     * (slot 0 is an empty placeholder — shard 0 needs none).
-     */
-    static CheckpointLibrary build(SimSession &session,
-                                   const SamplingConfig &config,
-                                   const std::vector<ShardSpec> &plan);
-
-    /**
-     * Multi-config capture: ONE streaming pass over @p session (N
-     * configs in lockstep off the shared architectural stream)
-     * produces the per-config libraries an N-config design study
-     * needs — library c is byte-identical to what build() over a
-     * single-config session of config c would have captured, at
-     * roughly 1/N of the total capture cost. This is what makes
-     * checkpoint reuse work ACROSS configs even though warm state is
-     * config-dependent.
-     */
-    static std::vector<CheckpointLibrary>
-    buildMulti(MultiSession &session, const SamplingConfig &config,
-               const std::vector<ShardSpec> &plan);
-
-    /**
-     * An empty library for (@p config, @p plan) whose checkpoints
-     * arrive later via record() — the pipelined capture path uses
-     * this to collect a persistable library while shards already
-     * execute.
-     */
-    static CheckpointLibrary prepare(const SamplingConfig &config,
-                                     const std::vector<ShardSpec> &plan);
-
-    /** Store shard @p shard's captured checkpoint (copied). */
-    void
-    record(std::size_t shard, const ArchCheckpoint &cp)
-    {
-        checkpoints_[shard] = cp;
-    }
-
-    /** True when every resume slot (shard >= 1) holds a checkpoint. */
-    bool
-    complete() const
-    {
-        for (std::size_t s = 1; s < checkpoints_.size(); ++s)
-            if (checkpoints_[s].arch.data.empty())
-                return false;
-        return !checkpoints_.empty();
-    }
-
-    /**
-     * Serialize under @p key into the versioned on-disk format
-     * (docs/checkpoint-format.md) and publish atomically at @p path.
-     * False with @p error set on filesystem failure.
-     */
-    bool save(const LibraryKey &key, const std::string &path,
-              std::string *error = nullptr,
-              bool createDirs = true) const;
-
-    /**
-     * Load a library from @p path, refusing — nullopt plus a
-     * diagnostic in @p error — on anything short of an exact match:
-     * missing/truncated/corrupt file (checksum), unknown format
-     * version, or a key whose benchmark, sampling design or config
-     * geometry differs from @p expect. Refusal is the contract: a
-     * mis-keyed library must never silently mis-warm a shard.
-     */
-    static std::optional<CheckpointLibrary>
-    load(const std::string &path, const LibraryKey &expect,
-         std::string *error = nullptr);
-
-    /** Serialize to @p out (save() = serialize + checksummed file). */
-    void serialize(const LibraryKey &key,
-                   util::BinaryWriter &out) const;
-
-    CheckpointLibrary() = default;
-
     const SamplingConfig &
     samplingConfig() const
     {
@@ -390,16 +332,247 @@ class CheckpointLibrary
         return plan_;
     }
 
-    const ArchCheckpoint &
-    at(std::size_t shard) const
-    {
-        return checkpoints_[shard];
-    }
-
     std::size_t
     shardCount() const
     {
         return plan_.size();
+    }
+
+  protected:
+    SamplingConfig config_;
+    std::vector<ShardSpec> plan_;
+};
+
+namespace detail {
+
+/**
+ * The one `.smck` container writer (docs/checkpoint-format.md):
+ * header with @p flavor, the flavor's @p identity block, @p key,
+ * @p plan, then one slot per shard — slot 0 absent, every other
+ * slot present and written by @p checkpoint.
+ */
+void serializeLibrary(
+    std::uint8_t flavor, const LibraryKey &key,
+    const std::vector<ShardSpec> &plan,
+    const std::function<void(util::BinaryWriter &)> &identity,
+    const std::function<void(std::size_t, util::BinaryWriter &)>
+        &checkpoint,
+    util::BinaryWriter &out);
+
+/**
+ * The one `.smck` container reader: fills @p config and @p plan and
+ * returns an empty string, or returns the refusal diagnostic. The
+ * flavor's hooks: @p identity reads and matches its identity block
+ * (empty, or the refusal after the path); @p slots sizes the
+ * checkpoint slots; @p checkpoint reads slot s and returns its
+ * (position, unitIndex), which must agree with the plan; @p check
+ * is the flavor's extra test of a loaded checkpoint (empty, or what
+ * is wrong with it).
+ */
+std::string loadLibrary(
+    const std::string &path, std::uint8_t flavor,
+    const LibraryKey &expect, SamplingConfig &config,
+    std::vector<ShardSpec> &plan,
+    const std::function<std::string(util::BinaryReader &)> &identity,
+    const std::function<void(std::size_t)> &slots,
+    const std::function<std::pair<std::uint64_t, std::uint64_t>(
+        std::size_t, util::BinaryReader &)> &checkpoint,
+    const std::function<std::string(std::size_t)> &check);
+
+} // namespace detail
+
+/**
+ * A built shard library: the shard plan plus every captured resume
+ * checkpoint, reusable across runs. Capturing costs roughly one
+ * warming pass; once built, sharded measurement of the same
+ * (benchmark, sampling design) scales with threads and re-runs —
+ * the tuned second pass of the two-pass procedure, config sweeps,
+ * repeated design studies — pay no warming at all.
+ *
+ * One lifecycle and one codec serve both `.smck` flavors:
+ * CheckpointLibrary (ArchCheckpoint) and mp::MixLibrary
+ * (mp::MixCheckpoint). The Checkpoint type supplies the flavor: its
+ * Key (a LibraryKey, or one extended with what the identity block
+ * must match), kFlavor, write/read, snap(session), the static
+ * writeIdentity(key, out) / readIdentity(in, expect) pair, and
+ * check(key), which says why a loaded checkpoint does not fit
+ * (empty when it does).
+ */
+template <typename Checkpoint>
+class ShardLibrary : public ShardLibraryBase
+{
+  public:
+    using Key = typename Checkpoint::Key;
+
+    /** Called as checkpoint @p shard becomes available (shard >= 1). */
+    using CheckpointSink =
+        std::function<void(std::size_t shard, Checkpoint &&)>;
+
+    /**
+     * Stream @p session (fresh, at stream start) through the serial
+     * sampling schedule using state-equivalent warming, invoking
+     * @p sink the moment each shard's resume state is reached.
+     * Shard 0 resumes at stream start and gets no checkpoint. The
+     * pass stops after the last checkpoint — the tail belongs to
+     * the last shard.
+     */
+    template <typename Session>
+    static void
+    capture(Session &session, const SamplingConfig &config,
+            const std::vector<ShardSpec> &plan,
+            const CheckpointSink &sink)
+    {
+        detail::captureSchedule(session, config, plan, [&](std::size_t s) {
+            Checkpoint cp;
+            cp.snap(session);
+            cp.position = session.instCount();
+            cp.unitIndex = plan[s].firstUnitIndex;
+            sink(s, std::move(cp));
+        });
+    }
+
+    /**
+     * Capture every checkpoint of @p plan into a reusable library
+     * (slot 0 is an empty placeholder — shard 0 needs none).
+     */
+    template <typename Session>
+    static ShardLibrary
+    build(Session &session, const SamplingConfig &config,
+          const std::vector<ShardSpec> &plan)
+    {
+        ShardLibrary library = prepare(config, plan);
+        capture(session, config, plan,
+                [&library](std::size_t s, Checkpoint &&cp) {
+                    library.checkpoints_[s] = std::move(cp);
+                });
+        library.requireComplete();
+        return library;
+    }
+
+    /**
+     * Solo flavor only: ONE streaming pass over @p session (N
+     * configs in lockstep off the shared architectural stream)
+     * produces the per-config libraries an N-config design study
+     * needs — library c is byte-identical to what build() over a
+     * single-config session of config c would have captured, at
+     * roughly 1/N of the total capture cost. This is what makes
+     * checkpoint reuse work ACROSS configs even though warm state is
+     * config-dependent.
+     */
+    static std::vector<ShardLibrary>
+    buildMulti(MultiSession &session, const SamplingConfig &config,
+               const std::vector<ShardSpec> &plan);
+
+    /**
+     * An empty library for (@p config, @p plan) whose checkpoints
+     * arrive later via record() — the pipelined capture path uses
+     * this to collect a persistable library while shards already
+     * execute.
+     */
+    static ShardLibrary
+    prepare(const SamplingConfig &config,
+            const std::vector<ShardSpec> &plan)
+    {
+        ShardLibrary library;
+        library.config_ = config;
+        library.plan_ = plan;
+        library.checkpoints_.resize(plan.size());
+        return library;
+    }
+
+    /** Store shard @p shard's captured checkpoint (copied). */
+    void
+    record(std::size_t shard, const Checkpoint &cp)
+    {
+        checkpoints_[shard] = cp;
+    }
+
+    /**
+     * True when every resume slot (shard >= 1) holds its checkpoint:
+     * a filled slot sits at its shard's resumePos, which is at least
+     * one unit into the stream, and an empty one at 0.
+     */
+    bool
+    complete() const
+    {
+        for (std::size_t s = 1; s < checkpoints_.size(); ++s)
+            if (checkpoints_[s].position != plan_[s].resumePos)
+                return false;
+        return !checkpoints_.empty();
+    }
+
+    /**
+     * Serialize under @p key into the versioned on-disk format
+     * (docs/checkpoint-format.md).
+     */
+    void
+    serialize(const Key &key, util::BinaryWriter &out) const
+    {
+        detail::serializeLibrary(
+            Checkpoint::kFlavor, key, plan_,
+            [&key](util::BinaryWriter &o) {
+                Checkpoint::writeIdentity(key, o);
+            },
+            [this](std::size_t s, util::BinaryWriter &o) {
+                checkpoints_[s].write(o);
+            },
+            out);
+    }
+
+    /**
+     * serialize() and publish atomically at @p path. False with
+     * @p error set on filesystem failure.
+     */
+    bool
+    save(const Key &key, const std::string &path,
+         std::string *error = nullptr, bool createDirs = true) const
+    {
+        util::BinaryWriter out;
+        serialize(key, out);
+        return out.writeFile(path, error, createDirs);
+    }
+
+    /**
+     * Load a library from @p path, refusing — nullopt plus a
+     * diagnostic in @p error — on anything short of an exact match:
+     * missing/truncated/corrupt file (checksum), unknown format
+     * version, the other flavor, an identity block or a key
+     * (benchmark, sampling design, config geometry) differing from
+     * @p expect. Refusal is the contract: a mis-keyed library must
+     * never silently mis-warm a shard.
+     */
+    static std::optional<ShardLibrary>
+    load(const std::string &path, const Key &expect,
+         std::string *error = nullptr)
+    {
+        ShardLibrary library;
+        std::vector<Checkpoint> &slots = library.checkpoints_;
+        std::string why = detail::loadLibrary(
+            path, Checkpoint::kFlavor, expect, library.config_,
+            library.plan_,
+            [&expect](util::BinaryReader &in) {
+                return Checkpoint::readIdentity(in, expect);
+            },
+            [&slots](std::size_t count) { slots.resize(count); },
+            [&slots](std::size_t s, util::BinaryReader &in) {
+                slots[s].read(in);
+                return std::make_pair(slots[s].position,
+                                      slots[s].unitIndex);
+            },
+            [&slots, &expect](std::size_t s) {
+                return slots[s].check(expect);
+            });
+        if (why.empty())
+            return library;
+        if (error)
+            *error = std::move(why);
+        return std::nullopt;
+    }
+
+    const Checkpoint &
+    at(std::size_t shard) const
+    {
+        return checkpoints_[shard];
     }
 
     /** Total in-memory footprint of the captured checkpoints. */
@@ -407,16 +580,39 @@ class CheckpointLibrary
     byteSize() const
     {
         std::size_t total = 0;
-        for (const ArchCheckpoint &cp : checkpoints_)
+        for (const Checkpoint &cp : checkpoints_)
             total += cp.byteSize();
         return total;
     }
 
   private:
-    SamplingConfig config_;
-    std::vector<ShardSpec> plan_;
-    std::vector<ArchCheckpoint> checkpoints_;
+    /**
+     * The stream ending before every boundary means the plan's
+     * streamLength was overstated; fail with a clear message rather
+     * than mid-pool when a shard restores an empty snapshot.
+     */
+    void
+    requireComplete() const
+    {
+        for (std::size_t s = 1; s < plan_.size(); ++s)
+            if (checkpoints_[s].position != plan_[s].resumePos)
+                SMARTS_FATAL("stream ended before the checkpoint for "
+                             "shard ", s, " (position ",
+                             plan_[s].resumePos,
+                             ") — was streamLength overstated?");
+    }
+
+    std::vector<Checkpoint> checkpoints_;
 };
+
+/** The solo flavor: full single-program warm state per shard. */
+using CheckpointLibrary = ShardLibrary<ArchCheckpoint>;
+
+template <>
+std::vector<CheckpointLibrary>
+CheckpointLibrary::buildMulti(MultiSession &session,
+                              const SamplingConfig &config,
+                              const std::vector<ShardSpec> &plan);
 
 } // namespace smarts::core
 

@@ -33,8 +33,12 @@
  *    store daemon (tools/smarts_stored.cc) as BENCH_store.json.
  *
  * Loads verify everything (docs/checkpoint-format.md): checksum,
- * format version, and the full key. A file that fails any check is
- * treated as a miss — recapture, never mis-warm.
+ * format version, flavor, identity block and the full key. A file
+ * that fails any check is treated as a miss — recapture, never
+ * mis-warm. Every entry kind — solo and mix `.smck` shard libraries,
+ * `.smlp` live-point libraries — is read through one pinned read and
+ * written through one publish step, so all of them share the same
+ * accounting, pinning and journal bookkeeping.
  */
 
 #ifndef SMARTS_CORE_CHECKPOINT_STORE_HH
@@ -134,11 +138,11 @@ class StoreLease
 class CheckpointStore
 {
   public:
-    /** Open (lazily creating) the store rooted at @p root. */
-    explicit CheckpointStore(std::string root);
-
-    /** Open with cache policy (budget ⇒ GC after saves). */
-    CheckpointStore(std::string root, StoreOptions options);
+    /**
+     * Open (lazily creating) the store rooted at @p root, with cache
+     * policy @p options (a budget ⇒ GC after saves).
+     */
+    explicit CheckpointStore(std::string root, StoreOptions options = {});
 
     const std::string &
     root() const
@@ -159,18 +163,41 @@ class CheckpointStore
     bool contains(const LibraryKey &key) const;
 
     /**
-     * Load and fully validate @p key's library. A missing file is a
-     * silent miss (empty @p error); an existing file that refuses —
-     * corrupt, wrong version, mis-keyed — is a miss with the
-     * diagnostic in @p error. The load runs under an internal pin
-     * so concurrent GC never unlinks the entry mid-read.
+     * Load and fully validate @p key's shard library — solo by
+     * default, or any flavor (tryLoad<mp::MixCheckpoint>(mixKey)). A
+     * missing file is a silent miss (empty @p error); an existing
+     * file that refuses — corrupt, wrong version or flavor,
+     * mis-keyed — is a miss with the diagnostic in @p error. The
+     * load runs under an internal pin so concurrent GC never unlinks
+     * the entry mid-read.
      */
-    std::optional<CheckpointLibrary>
-    tryLoad(const LibraryKey &key, std::string *error = nullptr) const;
+    template <typename Checkpoint = ArchCheckpoint>
+    std::optional<ShardLibrary<Checkpoint>>
+    tryLoad(const typename Checkpoint::Key &key,
+            std::string *error = nullptr) const
+    {
+        return loadAs<ShardLibrary<Checkpoint>>(key, false, error);
+    }
 
-    /** Persist @p library under @p key (atomic publish + GC). */
-    bool save(const LibraryKey &key, const CheckpointLibrary &library,
-              std::string *error = nullptr) const;
+    /**
+     * Persist @p library under @p key (atomic publish + GC). An
+     * incomplete library (the capture ended before a shard boundary)
+     * is refused: every later load would refuse it in turn.
+     */
+    template <typename Checkpoint>
+    bool
+    save(const typename Checkpoint::Key &key,
+         const ShardLibrary<Checkpoint> &library,
+         std::string *error = nullptr) const
+    {
+        if (!library.complete()) {
+            if (error)
+                *error = "library is incomplete (capture ended before "
+                         "every shard boundary)";
+            return false;
+        }
+        return saveAs(key, /*livePoints=*/false, library, error);
+    }
 
     /**
      * Make sure a library exists for every config of an N-config
@@ -235,32 +262,6 @@ class CheckpointStore
                      const std::vector<uarch::MachineConfig> &configs,
                      const SamplingConfig &sampling) const;
 
-    /**
-     * Generic flavor of tryLoad for payloads the core does not know
-     * how to parse (e.g. mp::MixLibrary): the full store protocol —
-     * index-first existence check, pinned read, hit/miss/refusal
-     * accounting, vanished-entry cleanup — around a caller-supplied
-     * @p loader that reads and validates the file at the entry's
-     * path. Returns true on a hit (loader succeeded); a missing
-     * entry is a silent miss (empty @p error), a loader refusal on a
-     * still-existing file is a miss with the loader's diagnostic.
-     */
-    bool loadEntry(const LibraryKey &key,
-                   const std::function<bool(const std::string &path,
-                                            std::string *error)> &loader,
-                   std::string *error = nullptr) const;
-
-    /**
-     * Generic flavor of save: directory creation, the atomic
-     * publish (the @p writer must go through BinaryWriter::writeFile
-     * or an equivalent temp+rename), and index/journal/GC
-     * bookkeeping around a caller-supplied @p writer.
-     */
-    bool publishEntry(const LibraryKey &key,
-                      const std::function<bool(const std::string &path,
-                                               std::string *error)> &writer,
-                      std::string *error = nullptr) const;
-
     // --- cache service surface -----------------------------------
 
     /**
@@ -303,6 +304,75 @@ class CheckpointStore
     std::string indexPath() const;
 
   private:
+    /** Reads or writes the entry file at the path it is given. */
+    using EntryIo =
+        std::function<bool(const std::string &path, std::string *error)>;
+
+    /**
+     * The one pinned read behind every tryLoad: index-first
+     * existence check, a pin held while @p loader reads the entry's
+     * file, hit/miss/refusal accounting and vanished-entry cleanup.
+     * True on a hit; a missing entry is a silent miss (empty
+     * @p error), a loader refusal on a still-existing file is a miss
+     * with the loader's diagnostic.
+     */
+    bool loadPinned(const LibraryKey &key, bool livePoints,
+                    const EntryIo &loader, std::string *error) const;
+
+    /**
+     * The one publish step behind every save: directory creation,
+     * @p writer's atomic write (BinaryWriter::writeFile), then
+     * index/journal/GC bookkeeping.
+     */
+    bool publish(const LibraryKey &key, bool livePoints,
+                 const EntryIo &writer, std::string *error) const;
+
+    /** loadPinned over Library::load(path, key, error). */
+    template <typename Library, typename Key>
+    std::optional<Library>
+    loadAs(const Key &key, bool livePoints, std::string *error) const
+    {
+        std::optional<Library> library;
+        loadPinned(
+            key, livePoints,
+            [&](const std::string &path, std::string *why) {
+                library = Library::load(path, key, why);
+                return library.has_value();
+            },
+            error);
+        return library;
+    }
+
+    /** publish over library.save(key, path, error). */
+    template <typename Library, typename Key>
+    bool
+    saveAs(const Key &key, bool livePoints, const Library &library,
+           std::string *error) const
+    {
+        return publish(
+            key, livePoints,
+            [&](const std::string &path, std::string *why) {
+                return library.save(key, path, why,
+                                    /*createDirs=*/false);
+            },
+            error);
+    }
+
+    /**
+     * The one miss-collection step behind ensure and
+     * ensureLivePoints: the configs whose key @p stored rejects,
+     * deduplicated by geometry hash (geometry-equal configs have
+     * identical warm state, so one capture serves them all), are
+     * captured in one @p capture pass over a MultiSession and
+     * saved. Returns the number of libraries captured.
+     */
+    template <typename Library, typename Stored, typename Capture>
+    std::size_t ensureWith(
+        const workloads::BenchmarkSpec &spec,
+        const std::vector<uarch::MachineConfig> &configs,
+        const SamplingConfig &sampling, bool livePoints,
+        const Stored &stored, const Capture &capture) const;
+
     std::size_t ensureImpl(
         const workloads::BenchmarkSpec &spec,
         const std::vector<uarch::MachineConfig> &configs,
@@ -312,6 +382,10 @@ class CheckpointStore
 
     /** Key's path relative to the root ('/'-separated). */
     std::string relFor(const LibraryKey &key, bool livePoints) const;
+
+    /** pathFor or livePointPathFor, by @p livePoints. */
+    std::string entryPathFor(const LibraryKey &key,
+                             bool livePoints) const;
 
     /** Lazily load-or-rebuild the index; callers hold @c mu_. */
     StoreIndex &indexLocked() const;
@@ -331,8 +405,8 @@ class CheckpointStore
     void notePublish(const std::string &rel,
                      const std::string &path) const;
 
-    /** Record a hit: atime bump + journal Touch. */
-    void noteAccess(const std::string &rel) const;
+    /** Record a hit: atime bump + journal Touch; the new atime. */
+    std::uint64_t noteAccess(const std::string &rel) const;
 
     /** Drop a vanished entry from index + journal. */
     void noteVanished(const std::string &rel) const;

@@ -30,7 +30,10 @@ class ThreadPool;
 
 namespace smarts::core {
 
-class CheckpointLibrary;
+struct ArchCheckpoint;
+template <typename Checkpoint>
+class ShardLibrary;
+using CheckpointLibrary = ShardLibrary<ArchCheckpoint>;
 class CheckpointStore;
 class LivePointLibrary;
 struct ShardSpec;
@@ -538,14 +541,6 @@ class SystematicSampler
   private:
     /** Adapter for the shard executor (core/shard_executor.hh). */
     struct ShardTier;
-
-    /** The cold pipelined path; @p collect (optional) receives the
-     *  captured library for persistence. */
-    SmartsEstimate runShardedCold(const SessionFactory &factory,
-                                  std::uint64_t streamLength,
-                                  std::size_t shards,
-                                  exec::ThreadPool &pool,
-                                  CheckpointLibrary *collect) const;
 
     SamplingConfig config_;
 };

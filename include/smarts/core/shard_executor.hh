@@ -2,10 +2,12 @@
  * @file
  * The shard executor: the one body behind every checkpoint-sharded
  * run, solo (SystematicSampler::runSharded) and co-run
- * (mp::MixSampler::runSharded) alike. Each sampler supplies a small
- * Tier adapter naming its session, checkpoint, slice and estimate
- * types; scheduling, checkpoint hand-off and the shard-order fold
- * live here once.
+ * (mp::MixSampler::runSharded) alike, in all three modes — cold
+ * (executeCold), from a prebuilt library (executeLibrary) and
+ * store-backed (executeStored). Each sampler supplies a small Tier
+ * adapter naming its session, checkpoint, slice and estimate types;
+ * planning, checkpoint hand-off, the store round trip and the
+ * shard-order fold live here once.
  */
 
 #ifndef SMARTS_CORE_SHARD_EXECUTOR_HH
@@ -16,7 +18,9 @@
 #include <vector>
 
 #include "core/checkpoint.hh"
+#include "core/checkpoint_store.hh"
 #include "exec/thread_pool.hh"
+#include "util/logging.hh"
 
 namespace smarts::core {
 
@@ -24,11 +28,16 @@ namespace smarts::core {
  * Execute @p plan's shards on @p pool and fold their slices into one
  * estimate. A Tier provides:
  *
- *   Checkpoint, Library, Slice, Estimate   the tier's types;
+ *   Checkpoint, Slice, Estimate   the tier's types (its library is
+ *                                 ShardLibrary<Checkpoint>);
+ *   static constexpr const char *kLibrary   the library's name in
+ *                                 diagnostics;
+ *   const SamplingConfig &config() const   the sampling design;
  *   Slice runShard(const ShardSpec &, const Checkpoint *) const
  *       run one shard's slice on a fresh session, restored from the
  *       checkpoint unless it is null (shard 0 starts at stream start);
- *   std::uint64_t capture(plan, Library::CheckpointSink) const
+ *   std::uint64_t capture(plan, ShardLibrary<Checkpoint>::CheckpointSink)
+ *       const
  *       the capture pass; returns the position it stopped at;
  *   Estimate emptyEstimate() const;
  *   static void foldSlice(Estimate &, const Slice &).
@@ -46,8 +55,8 @@ template <typename Tier>
 typename Tier::Estimate
 executeShards(const Tier &tier, const std::vector<ShardSpec> &plan,
               exec::ThreadPool &pool,
-              const typename Tier::Library *library,
-              typename Tier::Library *collect = nullptr)
+              const ShardLibrary<typename Tier::Checkpoint> *library,
+              ShardLibrary<typename Tier::Checkpoint> *collect = nullptr)
 {
     using Checkpoint = typename Tier::Checkpoint;
     std::vector<typename Tier::Slice> results(plan.size());
@@ -89,6 +98,70 @@ executeShards(const Tier &tier, const std::vector<ShardSpec> &plan,
     typename Tier::Slice captured;
     captured.endPos = capturePos;
     Tier::foldSlice(est, captured);
+    return est;
+}
+
+/**
+ * The cold pipelined path: plan the grid of (@p streamLength,
+ * @p shards), capture and execute at once; @p collect (optional)
+ * receives the captured library for persistence.
+ */
+template <typename Tier>
+typename Tier::Estimate
+executeCold(const Tier &tier, std::uint64_t streamLength,
+            std::size_t shards, exec::ThreadPool &pool,
+            ShardLibrary<typename Tier::Checkpoint> *collect = nullptr)
+{
+    const std::vector<ShardSpec> plan =
+        ShardLibraryBase::planShards(tier.config(), streamLength, shards);
+    if (collect)
+        *collect = ShardLibrary<typename Tier::Checkpoint>::prepare(
+            tier.config(), plan);
+    return executeShards(tier, plan, pool, nullptr, collect);
+}
+
+/** Resume every shard from @p library, built for the tier's design. */
+template <typename Tier>
+typename Tier::Estimate
+executeLibrary(const Tier &tier,
+               const ShardLibrary<typename Tier::Checkpoint> &library,
+               exec::ThreadPool &pool)
+{
+    if (library.samplingConfig() != tier.config())
+        SMARTS_FATAL(Tier::kLibrary,
+                     " was built for a different sampling design");
+    if (library.plan().empty())
+        SMARTS_FATAL(Tier::kLibrary, " has no shards");
+    return executeShards(tier, library.plan(), pool, &library);
+}
+
+/**
+ * Store-backed: resume from @p store's library under @p key when one
+ * loads; otherwise run cold and persist the captured library. A file
+ * that exists but refuses to load is a recapture, never a mis-warm;
+ * the warning says why (the key component or the failing record).
+ */
+template <typename Tier>
+typename Tier::Estimate
+executeStored(const Tier &tier, const CheckpointStore &store,
+              const typename Tier::Checkpoint::Key &key,
+              std::uint64_t streamLength, std::size_t shards,
+              exec::ThreadPool &pool)
+{
+    using Checkpoint = typename Tier::Checkpoint;
+    std::string error;
+    if (std::optional<ShardLibrary<Checkpoint>> library =
+            store.template tryLoad<Checkpoint>(key, &error))
+        return executeLibrary(tier, *library, pool);
+    if (!error.empty())
+        SMARTS_WARN("checkpoint store: recapturing (", error, ")");
+
+    ShardLibrary<Checkpoint> captured;
+    const typename Tier::Estimate est =
+        executeCold(tier, streamLength, shards, pool, &captured);
+    if (!store.save(key, captured, &error))
+        SMARTS_WARN("checkpoint store: could not persist ",
+                    store.pathFor(key), " (", error, ")");
     return est;
 }
 

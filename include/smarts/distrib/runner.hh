@@ -127,6 +127,9 @@ class Runner
     }
 
   private:
+    /** Drop the cached libraries when @p studyId is a new study. */
+    void enterStudy(std::uint64_t studyId);
+
     /** Load (or capture, on a store miss) config @p c's library. */
     const core::CheckpointLibrary &
     libraryFor(const JobManifest &manifest, std::uint32_t c);

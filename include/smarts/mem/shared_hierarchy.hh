@@ -345,7 +345,7 @@ struct SharedHierarchyState
     void
     read(util::BinaryReader &in)
     {
-        lanes.resize(in.u64());
+        lanes.resize(in.count());
         for (SharedLaneMemState &lane : lanes)
             lane.read(in);
         l2.read(in);

@@ -271,18 +271,26 @@ mixGeometryHash(const uarch::MachineConfig &machine,
 }
 
 /**
- * Store key of a mix's checkpoint library: a synthetic benchmark
- * spec named after the mix (its own store subdirectory) with the
- * co-run geometry hash — which folds every program's identity and
- * the policy, so a mis-keyed load refuses exactly as solo libraries
- * do. The sampling config is in ROUNDS (one instruction per program
- * per round).
+ * Store key of a mix's checkpoint library: the core::LibraryKey the
+ * store addresses it by — a synthetic benchmark spec named after the
+ * mix (its own store subdirectory) with the co-run geometry hash,
+ * which folds every program's identity and the policy, so a
+ * mis-keyed load refuses exactly as solo libraries do — plus the mix
+ * itself, whose identity block a loader matches program for program.
+ * The sampling config is in ROUNDS (one instruction per program per
+ * round).
  */
-inline core::LibraryKey
+struct MixKey : core::LibraryKey
+{
+    WorkloadMix mix;
+};
+
+inline MixKey
 mixKey(const WorkloadMix &mix, const uarch::MachineConfig &machine,
        const core::SamplingConfig &sampling)
 {
-    core::LibraryKey key;
+    MixKey key;
+    key.mix = mix;
     key.benchmark.name = "mix-" + mix.name;
     key.benchmark.kernel = mix.programs.empty()
                                ? workloads::Kernel::Alu

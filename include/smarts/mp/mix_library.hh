@@ -1,13 +1,13 @@
 /**
  * @file
  * MixLibrary: the checkpoint library of a CO-RUN (mp::MixSession)
- * sampling run — the mix analogue of core::CheckpointLibrary, with
- * positions counted in ROUNDS. It reuses the solo machinery
- * wholesale: core::CheckpointLibrary::planShards/validatePlan plan
- * the round grid (a round is to a mix what an instruction is to a
- * solo run), core::detail::captureSchedule streams the capture pass,
- * and the on-disk container is the same versioned `.smck` format
- * (docs/checkpoint-format.md) with flavor byte 1 — so one
+ * sampling run — core::ShardLibrary over MixCheckpoint, with
+ * positions counted in ROUNDS. The lifecycle, the shard plan (a
+ * round is to a mix what an instruction is to a solo run), the
+ * capture pass and the `.smck` container codec
+ * (docs/checkpoint-format.md) are the solo library's own; this
+ * flavor adds only flavor byte 1, the mix identity block (policy and
+ * program list) and a program-count check per checkpoint — so one
  * CheckpointStore serves both tiers, and a mis-flavored load refuses
  * by name from either loader.
  */
@@ -16,10 +16,7 @@
 #define SMARTS_MP_MIX_LIBRARY_HH
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "core/checkpoint.hh"
 #include "mp/mix_session.hh"
@@ -36,6 +33,10 @@ struct MixCheckpoint
 
     /** First measured grid index of the shard this resume feeds. */
     std::uint64_t unitIndex = 0;
+
+    /** A mix library's file must match the whole mix, not just the key. */
+    using Key = MixKey;
+    static constexpr std::uint8_t kFlavor = core::kCheckpointFlavorMix;
 
     std::size_t
     byteSize() const
@@ -59,123 +60,30 @@ struct MixCheckpoint
         unitIndex = in.u64();
         state.read(in);
     }
+
+    void
+    snap(const MixSession &session)
+    {
+        session.saveState(state);
+    }
+
+    /** The mix identity block: partition policy, then every program. */
+    static void writeIdentity(const MixKey &key, util::BinaryWriter &out);
+
+    /** Empty when the block matches @p expect's mix, else the refusal. */
+    static std::string readIdentity(util::BinaryReader &in,
+                                    const MixKey &expect);
+
+    /** Empty unless the state's program count differs from the mix's. */
+    std::string check(const MixKey &key) const;
 };
 
 /**
  * The shard plan plus every captured co-run resume checkpoint of one
- * (mix, machine, sampling design) — same lifecycle and same refusal
- * discipline as core::CheckpointLibrary.
+ * (mix, machine, sampling design), keyed by mixKey(mix, machine,
+ * sampling).
  */
-class MixLibrary
-{
-  public:
-    /** Called as checkpoint @p shard becomes available (shard >= 1). */
-    using CheckpointSink =
-        std::function<void(std::size_t shard, MixCheckpoint &&)>;
-
-    /**
-     * Stream @p session (fresh, at round 0) through the serial mix
-     * sampling schedule using state-equivalent warming, invoking
-     * @p sink the moment each shard's resume state is reached
-     * (core::detail::captureSchedule over rounds).
-     */
-    static void capture(MixSession &session,
-                        const core::SamplingConfig &config,
-                        const std::vector<core::ShardSpec> &plan,
-                        const CheckpointSink &sink);
-
-    /** Capture every checkpoint of @p plan into a reusable library. */
-    static MixLibrary build(MixSession &session,
-                            const core::SamplingConfig &config,
-                            const std::vector<core::ShardSpec> &plan);
-
-    /** An empty library whose checkpoints arrive via record(). */
-    static MixLibrary prepare(const core::SamplingConfig &config,
-                              const std::vector<core::ShardSpec> &plan);
-
-    /** Store shard @p shard's captured checkpoint (copied). */
-    void
-    record(std::size_t shard, const MixCheckpoint &cp)
-    {
-        checkpoints_[shard] = cp;
-    }
-
-    /** True when every resume slot (shard >= 1) holds a checkpoint. */
-    bool
-    complete() const
-    {
-        for (std::size_t s = 1; s < checkpoints_.size(); ++s)
-            if (checkpoints_[s].state.archs.empty())
-                return false;
-        return !checkpoints_.empty();
-    }
-
-    /**
-     * Serialize under (@p mix, @p key) — @p key should be
-     * mixKey(mix, machine, sampling) — and publish atomically at
-     * @p path. False with @p error set on filesystem failure.
-     */
-    bool save(const WorkloadMix &mix, const core::LibraryKey &key,
-              const std::string &path, std::string *error = nullptr,
-              bool createDirs = true) const;
-
-    /**
-     * Load a mix library from @p path, refusing — nullopt plus a
-     * diagnostic in @p error — on anything short of an exact match:
-     * corrupt file, wrong version, a solo-flavor payload, a program
-     * list or partition policy differing from @p expectMix, or a key
-     * mismatch against @p expect.
-     */
-    static std::optional<MixLibrary>
-    load(const std::string &path, const WorkloadMix &expectMix,
-         const core::LibraryKey &expect,
-         std::string *error = nullptr);
-
-    /** Serialize to @p out (save() = serialize + checksummed file). */
-    void serialize(const WorkloadMix &mix,
-                   const core::LibraryKey &key,
-                   util::BinaryWriter &out) const;
-
-    MixLibrary() = default;
-
-    const core::SamplingConfig &
-    samplingConfig() const
-    {
-        return config_;
-    }
-
-    const std::vector<core::ShardSpec> &
-    plan() const
-    {
-        return plan_;
-    }
-
-    const MixCheckpoint &
-    at(std::size_t shard) const
-    {
-        return checkpoints_[shard];
-    }
-
-    std::size_t
-    shardCount() const
-    {
-        return plan_.size();
-    }
-
-    std::size_t
-    byteSize() const
-    {
-        std::size_t total = 0;
-        for (const MixCheckpoint &cp : checkpoints_)
-            total += cp.byteSize();
-        return total;
-    }
-
-  private:
-    core::SamplingConfig config_;
-    std::vector<core::ShardSpec> plan_;
-    std::vector<MixCheckpoint> checkpoints_;
-};
+using MixLibrary = core::ShardLibrary<MixCheckpoint>;
 
 } // namespace smarts::mp
 

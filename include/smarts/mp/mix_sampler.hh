@@ -11,8 +11,8 @@
  *
  * Execution modes mirror core::SystematicSampler: serial run(),
  * checkpoint-sharded runSharded() (cold-pipelined, prebuilt
- * MixLibrary, or store-backed through the generic
- * CheckpointStore::loadEntry/publishEntry hooks), all folding
+ * MixLibrary, or store-backed through the same CheckpointStore
+ * tryLoad/save path as solo libraries), all folding
  * per-unit observations in stream order so every mode is
  * bit-identical to the serial run at any thread count
  * (tests/test_mix.cc).
@@ -145,11 +145,6 @@ class MixSampler
   private:
     /** Adapter for the shard executor (core/shard_executor.hh). */
     struct ShardTier;
-
-    MixEstimate runShardedCold(std::uint64_t streamLength,
-                               std::size_t shards,
-                               exec::ThreadPool &pool,
-                               MixLibrary *collect) const;
 
     MixEstimate emptyEstimate() const;
 

@@ -159,11 +159,11 @@ struct MixState
     void
     read(util::BinaryReader &in)
     {
-        archs.resize(in.u64());
+        archs.resize(in.count());
         for (core::ArchState &arch : archs)
             arch.read(in);
         sharedMem.read(in);
-        lanes.resize(in.u64());
+        lanes.resize(in.count());
         for (MixLaneState &lane : lanes)
             lane.read(in);
         rounds = in.u64();

@@ -46,6 +46,38 @@ constexpr bool kHostLittleEndian =
     false;
 #endif
 
+/**
+ * Endianness marker in every smarts file header: written through the
+ * little-endian encoder, so files carry bytes 04 03 02 01.
+ */
+constexpr std::uint32_t kEndianMark = 0x01020304u;
+
+/**
+ * The header every smarts file opens with — an 8-byte magic, the
+ * format version and kEndianMark — plus how a reader names a
+ * mismatch: "<path> is not a smarts <what>", "<path> is <kind>
+ * version V; this build <verb> version <version>" and "<path> has a
+ * bad endianness marker".
+ */
+struct FileHeader
+{
+    const char *magic; ///< exactly 8 bytes, no terminator.
+    std::uint32_t version;
+    const char *what;
+    const char *kind;
+    const char *verb;
+};
+
+/**
+ * Publish @p size bytes at @p data, then @p trailerSize bytes at
+ * @p trailer, at @p path atomically: write a process-unique temp
+ * file next to it, then rename it over @p path. False with @p error
+ * set on any filesystem failure.
+ */
+bool publishFile(const std::string &path, const std::uint8_t *data,
+                 std::size_t size, const std::uint8_t *trailer,
+                 std::size_t trailerSize, std::string *error);
+
 /** FNV-1a 64-bit over @p size bytes (the format's checksum). */
 inline std::uint64_t
 fnv1a(const std::uint8_t *data, std::size_t size,
@@ -185,6 +217,16 @@ class BinaryWriter
         return buffer_.size();
     }
 
+    /** Write @p h's magic, version and endianness marker. */
+    void
+    header(const FileHeader &h)
+    {
+        for (std::size_t i = 0; i < 8; ++i)
+            u8(static_cast<std::uint8_t>(h.magic[i]));
+        u32(h.version);
+        u32(kEndianMark);
+    }
+
     /**
      * Append the FNV-1a checksum of the buffer, then publish the
      * result at @p path atomically (temp file + rename). Returns
@@ -232,12 +274,15 @@ class BinaryReader
     BinaryReader &operator=(const BinaryReader &) = delete;
 
     /**
-     * Read @p path, verify the trailing FNV-1a checksum, and return
-     * a reader over the payload (checksum stripped). Nullptr-style
-     * failure: ok() is false and @p error says why (missing file,
-     * short file, checksum mismatch = truncation or corruption).
+     * Read @p path, verify the trailing FNV-1a checksum and then
+     * @p header, and return a reader over the payload after the
+     * header (checksum stripped). Nullptr-style failure: ok() is
+     * false and @p error says why (missing file, short file,
+     * checksum mismatch = truncation or corruption, or the header
+     * refusal FileHeader names).
      */
     static BinaryReader fromFile(const std::string &path,
+                                 const FileHeader &header,
                                  std::string *error);
 
     std::uint8_t
@@ -307,6 +352,23 @@ class BinaryReader
     vecU64()
     {
         return vecOf<std::uint64_t>();
+    }
+
+    /**
+     * The u64 element count of a sequence whose every element takes
+     * at least one byte: a count above the bytes left is a corrupt
+     * length field, so it latches fail() and reads as 0 instead of
+     * sizing a container from hostile bytes.
+     */
+    std::uint64_t
+    count()
+    {
+        const std::uint64_t n = u64();
+        if (n > size_ - pos_) {
+            failed_ = true;
+            return 0;
+        }
+        return n;
     }
 
     /**

@@ -22,23 +22,6 @@ warmingName(WarmingMode mode)
     return "?";
 }
 
-/**
- * The stream ending before every boundary means the plan's
- * streamLength was overstated; fail with a clear message rather
- * than mid-pool when a shard restores an empty snapshot.
- */
-void
-requireComplete(const CheckpointLibrary &library,
-                const std::vector<ShardSpec> &plan)
-{
-    for (std::size_t s = 1; s < plan.size(); ++s)
-        if (library.at(s).arch.data.empty())
-            SMARTS_FATAL("stream ended before the checkpoint for "
-                         "shard ", s, " (position ",
-                         plan[s].resumePos,
-                         ") — was streamLength overstated?");
-}
-
 const char *
 scaleName(workloads::Scale scale)
 {
@@ -175,9 +158,9 @@ LibraryKey::mismatchAgainst(const LibraryKey &other) const
 }
 
 std::vector<ShardSpec>
-CheckpointLibrary::planShards(const SamplingConfig &config,
-                              std::uint64_t streamLength,
-                              std::size_t shards)
+ShardLibraryBase::planShards(const SamplingConfig &config,
+                             std::uint64_t streamLength,
+                             std::size_t shards)
 {
     const std::uint64_t u = config.unitSize;
     const std::uint64_t k = config.interval;
@@ -214,8 +197,8 @@ CheckpointLibrary::planShards(const SamplingConfig &config,
 }
 
 std::string
-CheckpointLibrary::validatePlan(const SamplingConfig &config,
-                                const std::vector<ShardSpec> &plan)
+ShardLibraryBase::validatePlan(const SamplingConfig &config,
+                               const std::vector<ShardSpec> &plan)
 {
     if (plan.empty())
         return "the plan has no shards";
@@ -257,46 +240,7 @@ CheckpointLibrary::validatePlan(const SamplingConfig &config,
     return {};
 }
 
-void
-CheckpointLibrary::capture(SimSession &session,
-                           const SamplingConfig &config,
-                           const std::vector<ShardSpec> &plan,
-                           const CheckpointSink &sink)
-{
-    detail::captureSchedule(session, config, plan, [&](std::size_t s) {
-        ArchCheckpoint cp;
-        session.saveState(cp.arch, cp.timing);
-        cp.position = session.instCount();
-        cp.unitIndex = plan[s].firstUnitIndex;
-        sink(s, std::move(cp));
-    });
-}
-
-CheckpointLibrary
-CheckpointLibrary::prepare(const SamplingConfig &config,
-                           const std::vector<ShardSpec> &plan)
-{
-    CheckpointLibrary library;
-    library.config_ = config;
-    library.plan_ = plan;
-    library.checkpoints_.resize(plan.size());
-    return library;
-}
-
-CheckpointLibrary
-CheckpointLibrary::build(SimSession &session,
-                         const SamplingConfig &config,
-                         const std::vector<ShardSpec> &plan)
-{
-    CheckpointLibrary library = prepare(config, plan);
-    capture(session, config, plan,
-            [&library](std::size_t s, ArchCheckpoint &&cp) {
-                library.checkpoints_[s] = std::move(cp);
-            });
-    requireComplete(library, plan);
-    return library;
-}
-
+template <>
 std::vector<CheckpointLibrary>
 CheckpointLibrary::buildMulti(MultiSession &session,
                               const SamplingConfig &config,
@@ -322,146 +266,139 @@ CheckpointLibrary::buildMulti(MultiSession &session,
         }
     });
     for (const CheckpointLibrary &library : libraries)
-        requireComplete(library, plan);
+        library.requireComplete();
     return libraries;
 }
 
+namespace detail {
+
+namespace {
+
+const util::FileHeader kLibraryHeader{kCheckpointMagic,
+                                      kCheckpointFormatVersion,
+                                      "checkpoint library", "format",
+                                      "reads only"};
+
+} // namespace
+
 void
-CheckpointLibrary::serialize(const LibraryKey &key,
-                             util::BinaryWriter &out) const
+serializeLibrary(
+    std::uint8_t flavor, const LibraryKey &key,
+    const std::vector<ShardSpec> &plan,
+    const std::function<void(util::BinaryWriter &)> &identity,
+    const std::function<void(std::size_t, util::BinaryWriter &)>
+        &checkpoint,
+    util::BinaryWriter &out)
 {
-    for (const char c : kCheckpointMagic)
-        out.u8(static_cast<std::uint8_t>(c));
-    out.u32(kCheckpointFormatVersion);
-    out.u32(kCheckpointEndianMark);
-    out.u8(kCheckpointFlavorSolo);
+    out.header(kLibraryHeader);
+    out.u8(flavor);
+    identity(out);
     key.write(out);
 
-    out.u64(plan_.size());
-    for (const ShardSpec &shard : plan_) {
-        out.u64(shard.firstUnitIndex);
-        out.u64(shard.unitCount);
-        out.u64(shard.resumePos);
-        out.u8(shard.runsTail ? 1 : 0);
-    }
-    out.u64(checkpoints_.size());
-    for (std::size_t s = 0; s < checkpoints_.size(); ++s) {
+    out.u64(plan.size());
+    for (const ShardSpec &shard : plan)
+        shard.write(out);
+    out.u64(plan.size());
+    for (std::size_t s = 0; s < plan.size(); ++s) {
         // Slot 0 (and every tail shard of a one-shard plan) resumes
         // at stream start and carries no state.
         const bool present = s > 0;
         out.u8(present ? 1 : 0);
         if (present)
-            checkpoints_[s].write(out);
+            checkpoint(s, out);
     }
 }
 
-bool
-CheckpointLibrary::save(const LibraryKey &key, const std::string &path,
-                        std::string *error, bool createDirs) const
+std::string
+loadLibrary(
+    const std::string &path, std::uint8_t flavor,
+    const LibraryKey &expect, SamplingConfig &config,
+    std::vector<ShardSpec> &plan,
+    const std::function<std::string(util::BinaryReader &)> &identity,
+    const std::function<void(std::size_t)> &slots,
+    const std::function<std::pair<std::uint64_t, std::uint64_t>(
+        std::size_t, util::BinaryReader &)> &checkpoint,
+    const std::function<std::string(std::size_t)> &check)
 {
-    util::BinaryWriter out;
-    serialize(key, out);
-    return out.writeFile(path, error, createDirs);
-}
-
-std::optional<CheckpointLibrary>
-CheckpointLibrary::load(const std::string &path,
-                        const LibraryKey &expect, std::string *error)
-{
-    auto refuse = [error](std::string why) {
-        if (error)
-            *error = std::move(why);
-        return std::nullopt;
-    };
-
     std::string ioError;
     util::BinaryReader in =
-        util::BinaryReader::fromFile(path, &ioError);
+        util::BinaryReader::fromFile(path, kLibraryHeader, &ioError);
     if (in.failed())
-        return refuse(std::move(ioError));
-
-    for (const char c : kCheckpointMagic)
-        if (in.u8() != static_cast<std::uint8_t>(c))
-            return refuse(log::format(
-                path, " is not a smarts checkpoint library"));
-    // v1 files (no flavor byte, always solo state) still load: the
-    // v1→v2 migration path. Anything newer is refused, not guessed.
-    const std::uint32_t version = in.u32();
-    if (version != 1 && version != kCheckpointFormatVersion)
-        return refuse(log::format(
-            path, " is format version ", version,
-            "; this build reads versions 1 and ",
-            kCheckpointFormatVersion));
-    if (in.u32() != kCheckpointEndianMark)
-        return refuse(log::format(path,
-                                  " has a bad endianness marker"));
-    if (version >= 2) {
-        const std::uint8_t flavor = in.u8();
-        if (flavor != kCheckpointFlavorSolo)
-            return refuse(log::format(
-                path, " holds flavor-", flavor,
-                " (co-run mix) state; load it through "
-                "mp::MixLibrary, not the solo library loader"));
+        return ioError;
+    // Each loader accepts only its own flavor and names the other.
+    const unsigned fileFlavor = in.u8();
+    if (fileFlavor != flavor)
+        return log::format(
+            path, " holds flavor-", fileFlavor,
+            flavor == kCheckpointFlavorSolo
+                ? " (co-run mix) state; load it through "
+                  "mp::MixLibrary, not the solo library loader"
+                : " (solo) state; load it through "
+                  "core::CheckpointLibrary, not the mix loader");
+    {
+        const std::string mismatch = identity(in);
+        if (!mismatch.empty())
+            return path + mismatch;
     }
 
     const LibraryKey stored = LibraryKey::read(in);
     const std::string mismatch = expect.mismatchAgainst(stored);
     if (!mismatch.empty())
-        return refuse(log::format(path, ": ", mismatch));
+        return log::format(path, ": ", mismatch);
 
-    CheckpointLibrary library;
-    library.config_ = stored.sampling;
+    config = stored.sampling;
     const std::uint64_t shardCount = in.u64();
     // An absurd count means a corrupt length field the checksum
     // somehow missed; bound it by what the payload could hold.
     if (shardCount > in.remaining())
-        return refuse(log::format(path, " is corrupt (shard count ",
-                                  shardCount, ")"));
-    library.plan_.resize(shardCount);
-    for (ShardSpec &shard : library.plan_) {
-        shard.firstUnitIndex = in.u64();
-        shard.unitCount = in.u64();
-        shard.resumePos = in.u64();
-        shard.runsTail = in.u8() != 0;
-    }
+        return log::format(path, " is corrupt (shard count ",
+                           shardCount, ")");
+    plan.resize(shardCount);
+    for (ShardSpec &shard : plan)
+        shard = ShardSpec::read(in);
     // The plan must be one planShards could have produced — the
     // checksum only proves the writer was careful, not honest, and
     // executing a malformed plan (overlapping shards, misplaced
     // tail) would MIS-MEASURE instead of refusing.
     {
         const std::string planError =
-            validatePlan(stored.sampling, library.plan_);
+            ShardLibraryBase::validatePlan(stored.sampling, plan);
         if (!planError.empty())
-            return refuse(log::format(path, " is corrupt (",
-                                      planError, ")"));
+            return log::format(path, " is corrupt (", planError, ")");
     }
     const std::uint64_t cpCount = in.u64();
     if (cpCount != shardCount)
-        return refuse(log::format(
-            path, " is corrupt (", cpCount, " checkpoints for ",
-            shardCount, " shards)"));
-    library.checkpoints_.resize(shardCount);
+        return log::format(path, " is corrupt (", cpCount,
+                           " checkpoints for ", shardCount,
+                           " shards)");
+    slots(shardCount);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> resumes(
+        shardCount);
     for (std::size_t s = 0; s < shardCount; ++s) {
         const bool present = in.u8() != 0;
         if (present == (s == 0))
-            return refuse(log::format(
-                path, " is corrupt (checkpoint ", s,
-                present ? " unexpectedly present" : " missing"));
+            return log::format(path, " is corrupt (checkpoint ", s,
+                               present ? " unexpectedly present"
+                                       : " missing");
         if (present)
-            library.checkpoints_[s].read(in);
+            resumes[s] = checkpoint(s, in);
     }
     if (in.failed() || in.remaining() != 0)
-        return refuse(log::format(
-            path, " is truncated or has trailing garbage"));
-    for (std::size_t s = 1; s < shardCount; ++s)
-        if (library.checkpoints_[s].position !=
-                library.plan_[s].resumePos ||
-            library.checkpoints_[s].unitIndex !=
-                library.plan_[s].firstUnitIndex)
-            return refuse(log::format(
-                path, " is corrupt (checkpoint ", s,
-                " disagrees with its shard plan)"));
-    return library;
+        return log::format(path,
+                           " is truncated or has trailing garbage");
+    for (std::size_t s = 1; s < shardCount; ++s) {
+        if (resumes[s] != std::make_pair(plan[s].resumePos,
+                                         plan[s].firstUnitIndex))
+            return log::format(path, " is corrupt (checkpoint ", s,
+                               " disagrees with its shard plan)");
+        const std::string why = check(s);
+        if (!why.empty())
+            return log::format(path, " is corrupt (checkpoint ", s,
+                               " ", why, ")");
+    }
+    return {};
 }
+
+} // namespace detail
 
 } // namespace smarts::core

@@ -1,5 +1,6 @@
 #include "core/checkpoint_store.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -51,11 +52,6 @@ StoreLease::release()
     entryPath_.clear();
 }
 
-CheckpointStore::CheckpointStore(std::string root)
-    : CheckpointStore(std::move(root), StoreOptions{})
-{
-}
-
 CheckpointStore::CheckpointStore(std::string root,
                                  StoreOptions options)
     : root_(std::move(root)), options_(options)
@@ -84,6 +80,13 @@ CheckpointStore::relFor(const LibraryKey &key, bool livePoints) const
 {
     return key.dirName() + "/" +
            (livePoints ? key.livePointFileName() : key.fileName());
+}
+
+std::string
+CheckpointStore::entryPathFor(const LibraryKey &key,
+                              bool livePoints) const
+{
+    return livePoints ? livePointPathFor(key) : pathFor(key);
 }
 
 std::string
@@ -190,17 +193,18 @@ CheckpointStore::notePublish(const std::string &rel,
         index.saveSnapshot(indexPath());
 }
 
-void
+std::uint64_t
 CheckpointStore::noteAccess(const std::string &rel) const
 {
     std::lock_guard<std::mutex> lock(mu_);
     StoreIndex &index = indexLocked();
     const std::uint64_t atime = index.noteTouch(rel);
-    if (atime == 0)
-        return;
-    touches_.fetch_add(1, std::memory_order_relaxed);
-    StoreIndex::appendRecord(indexPath(), StoreIndex::Op::Touch,
-                             rel, 0, atime);
+    if (atime != 0) {
+        touches_.fetch_add(1, std::memory_order_relaxed);
+        StoreIndex::appendRecord(indexPath(), StoreIndex::Op::Touch,
+                                 rel, 0, atime);
+    }
+    return atime;
 }
 
 void
@@ -245,8 +249,7 @@ CheckpointStore::pin(const LibraryKey &key, bool livePoints,
                      const std::string &owner) const
 {
     const std::string rel = relFor(key, livePoints);
-    const std::string path =
-        livePoints ? livePointPathFor(key) : pathFor(key);
+    const std::string path = entryPathFor(key, livePoints);
     const std::string marker = markerFor(rel, owner);
     ensureDirFor(marker);
 
@@ -282,17 +285,7 @@ std::uint64_t
 CheckpointStore::touch(const LibraryKey &key, bool livePoints) const
 {
     const std::string rel = relFor(key, livePoints);
-    if (!entryExists(rel))
-        return 0;
-    std::lock_guard<std::mutex> lock(mu_);
-    StoreIndex &index = indexLocked();
-    const std::uint64_t atime = index.noteTouch(rel);
-    if (atime != 0) {
-        touches_.fetch_add(1, std::memory_order_relaxed);
-        StoreIndex::appendRecord(indexPath(), StoreIndex::Op::Touch,
-                                 rel, 0, atime);
-    }
-    return atime;
+    return entryExists(rel) ? noteAccess(rel) : 0;
 }
 
 std::size_t
@@ -394,80 +387,15 @@ CheckpointStore::contains(const LibraryKey &key) const
     return entryExists(relFor(key, /*livePoints=*/false));
 }
 
-std::optional<CheckpointLibrary>
-CheckpointStore::tryLoad(const LibraryKey &key,
-                         std::string *error) const
+bool
+CheckpointStore::loadPinned(const LibraryKey &key, bool livePoints,
+                            const EntryIo &loader,
+                            std::string *error) const
 {
     if (error)
         error->clear();
-    const std::string rel = relFor(key, /*livePoints=*/false);
-    const std::string path = pathFor(key);
-    if (!entryExists(rel)) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt; // plain miss, no diagnostic.
-    }
-
-    // Pin while reading so concurrent GC leaves the bytes alone; a
-    // refused lease means the entry vanished under us — that is a
-    // clean miss, not a refusal.
-    std::optional<StoreLease> lease =
-        pin(key, /*livePoints=*/false, "ld" + uniqueTag());
-    if (!lease) {
-        noteVanished(rel);
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-
-    std::optional<CheckpointLibrary> library =
-        CheckpointLibrary::load(path, key, error);
-    if (library) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        noteAccess(rel);
-        return library;
-    }
-    std::error_code ec;
-    if (!fs::exists(path, ec)) {
-        // Evicted between the pin race and the open: clean miss.
-        if (error)
-            error->clear();
-        noteVanished(rel);
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    refusals_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-}
-
-bool
-CheckpointStore::save(const LibraryKey &key,
-                      const CheckpointLibrary &library,
-                      std::string *error) const
-{
-    if (!library.complete()) {
-        if (error)
-            *error = "library is incomplete (capture ended before "
-                     "every shard boundary)";
-        return false;
-    }
-    const std::string path = pathFor(key);
-    ensureDirFor(path);
-    if (!library.save(key, path, error, /*createDirs=*/false))
-        return false;
-    notePublish(relFor(key, /*livePoints=*/false), path);
-    return true;
-}
-
-bool
-CheckpointStore::loadEntry(
-    const LibraryKey &key,
-    const std::function<bool(const std::string &path,
-                             std::string *error)> &loader,
-    std::string *error) const
-{
-    if (error)
-        error->clear();
-    const std::string rel = relFor(key, /*livePoints=*/false);
-    const std::string path = pathFor(key);
+    const std::string rel = relFor(key, livePoints);
+    const std::string path = entryPathFor(key, livePoints);
     if (!entryExists(rel)) {
         misses_.fetch_add(1, std::memory_order_relaxed);
         return false; // plain miss, no diagnostic.
@@ -477,43 +405,36 @@ CheckpointStore::loadEntry(
     // refused lease means the entry vanished under us — that is a
     // clean miss, not a refusal.
     std::optional<StoreLease> lease =
-        pin(key, /*livePoints=*/false, "ld" + uniqueTag());
-    if (!lease) {
-        noteVanished(rel);
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-
-    if (loader(path, error)) {
+        pin(key, livePoints, "ld" + uniqueTag());
+    if (lease && loader(path, error)) {
         hits_.fetch_add(1, std::memory_order_relaxed);
         noteAccess(rel);
         return true;
     }
     std::error_code ec;
-    if (!fs::exists(path, ec)) {
-        // Evicted between the pin race and the open: clean miss.
-        if (error)
-            error->clear();
-        noteVanished(rel);
-        misses_.fetch_add(1, std::memory_order_relaxed);
+    if (lease && fs::exists(path, ec)) {
+        refusals_.fetch_add(1, std::memory_order_relaxed);
         return false;
     }
-    refusals_.fetch_add(1, std::memory_order_relaxed);
+    // Gone before the pin, or evicted between the pin race and the
+    // open: a clean miss.
+    if (error)
+        error->clear();
+    noteVanished(rel);
+    misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
 }
 
 bool
-CheckpointStore::publishEntry(
-    const LibraryKey &key,
-    const std::function<bool(const std::string &path,
-                             std::string *error)> &writer,
-    std::string *error) const
+CheckpointStore::publish(const LibraryKey &key, bool livePoints,
+                         const EntryIo &writer,
+                         std::string *error) const
 {
-    const std::string path = pathFor(key);
+    const std::string path = entryPathFor(key, livePoints);
     ensureDirFor(path);
     if (!writer(path, error))
         return false;
-    notePublish(relFor(key, /*livePoints=*/false), path);
+    notePublish(relFor(key, livePoints), path);
     return true;
 }
 
@@ -521,40 +442,7 @@ std::optional<LivePointLibrary>
 CheckpointStore::tryLoadLivePoints(const LibraryKey &key,
                                    std::string *error) const
 {
-    if (error)
-        error->clear();
-    const std::string rel = relFor(key, /*livePoints=*/true);
-    const std::string path = livePointPathFor(key);
-    if (!entryExists(rel)) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt; // plain miss, no diagnostic.
-    }
-
-    std::optional<StoreLease> lease =
-        pin(key, /*livePoints=*/true, "ld" + uniqueTag());
-    if (!lease) {
-        noteVanished(rel);
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-
-    std::optional<LivePointLibrary> library =
-        LivePointLibrary::load(path, key, error);
-    if (library) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        noteAccess(rel);
-        return library;
-    }
-    std::error_code ec;
-    if (!fs::exists(path, ec)) {
-        if (error)
-            error->clear();
-        noteVanished(rel);
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    refusals_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+    return loadAs<LivePointLibrary>(key, /*livePoints=*/true, error);
 }
 
 bool
@@ -562,12 +450,40 @@ CheckpointStore::saveLivePoints(const LivePointLibrary &library,
                                 const LibraryKey &key,
                                 std::string *error) const
 {
-    const std::string path = livePointPathFor(key);
-    ensureDirFor(path);
-    if (!library.save(key, path, error, /*createDirs=*/false))
-        return false;
-    notePublish(relFor(key, /*livePoints=*/true), path);
-    return true;
+    return saveAs(key, /*livePoints=*/true, library, error);
+}
+
+template <typename Library, typename Stored, typename Capture>
+std::size_t
+CheckpointStore::ensureWith(
+    const workloads::BenchmarkSpec &spec,
+    const std::vector<uarch::MachineConfig> &configs,
+    const SamplingConfig &sampling, bool livePoints,
+    const Stored &stored, const Capture &capture) const
+{
+    std::vector<uarch::MachineConfig> misses;
+    std::vector<std::uint64_t> geometries;
+    for (const uarch::MachineConfig &config : configs) {
+        const LibraryKey key = LibraryKey::of(spec, config, sampling);
+        if (stored(key) || std::find(geometries.begin(), geometries.end(),
+                                     key.geometryHash) != geometries.end())
+            continue;
+        misses.push_back(config);
+        geometries.push_back(key.geometryHash);
+    }
+    if (misses.empty())
+        return 0;
+
+    MultiSession session(spec, misses);
+    const std::vector<Library> libraries = capture(session);
+    for (std::size_t i = 0; i < libraries.size(); ++i) {
+        const LibraryKey key = LibraryKey::of(spec, misses[i], sampling);
+        std::string error;
+        if (!saveAs(key, livePoints, libraries[i], &error))
+            SMARTS_FATAL("checkpoint store: cannot save ",
+                         entryPathFor(key, livePoints), ": ", error);
+    }
+    return libraries.size();
 }
 
 std::size_t
@@ -601,57 +517,30 @@ CheckpointStore::ensureImpl(
     const SamplingConfig &sampling,
     const std::vector<ShardSpec> &plan, bool requirePlanMatch) const
 {
-    // Collect the configs whose key is missing, deduplicating
-    // geometry-equal configs (their warm state is identical, so one
-    // captured library serves them all). "Present" means a library
-    // that actually LOADS — a file that exists but refuses (stale
-    // version, corruption) is a miss to recapture, or ensure()
-    // would report configs as stored that nothing can resume — and,
-    // when the caller pinned a plan, one captured under that exact
-    // shard split.
-    std::vector<const uarch::MachineConfig *> missing;
-    std::vector<LibraryKey> missingKeys;
-    for (const uarch::MachineConfig &config : configs) {
-        const LibraryKey key = LibraryKey::of(spec, config, sampling);
+    // "Present" means a library that actually LOADS — a file that
+    // exists but refuses (stale version, corruption) is a miss to
+    // recapture, or ensure() would report configs as stored that
+    // nothing can resume — and, when the caller pinned a plan, one
+    // captured under that exact shard split.
+    auto stored = [&](const LibraryKey &key) {
         std::string error;
         if (std::optional<CheckpointLibrary> library =
                 tryLoad(key, &error)) {
             if (!requirePlanMatch || library->plan() == plan)
-                continue;
+                return true;
             SMARTS_WARN("checkpoint store: ", pathFor(key),
-                        " holds a different shard plan; recapturing "
-                        "with the required one");
+                        " holds a different shard plan; "
+                        "recapturing with the required one");
         } else if (!error.empty()) {
-            SMARTS_WARN("checkpoint store: recapturing (", error,
-                        ")");
+            SMARTS_WARN("checkpoint store: recapturing (", error, ")");
         }
-        bool duplicate = false;
-        for (const LibraryKey &seen : missingKeys)
-            duplicate |= seen.geometryHash == key.geometryHash;
-        if (duplicate)
-            continue;
-        missing.push_back(&config);
-        missingKeys.push_back(key);
-    }
-    if (missing.empty())
-        return 0;
-
-    std::vector<uarch::MachineConfig> captureConfigs;
-    captureConfigs.reserve(missing.size());
-    for (const uarch::MachineConfig *config : missing)
-        captureConfigs.push_back(*config);
-
-    MultiSession session(spec, captureConfigs);
-    const std::vector<CheckpointLibrary> libraries =
-        CheckpointLibrary::buildMulti(session, sampling, plan);
-
-    for (std::size_t i = 0; i < libraries.size(); ++i) {
-        std::string error;
-        if (!save(missingKeys[i], libraries[i], &error))
-            SMARTS_FATAL("checkpoint store: cannot save ",
-                         pathFor(missingKeys[i]), ": ", error);
-    }
-    return libraries.size();
+        return false;
+    };
+    return ensureWith<CheckpointLibrary>(
+        spec, configs, sampling, /*livePoints=*/false, stored,
+        [&](MultiSession &session) {
+            return CheckpointLibrary::buildMulti(session, sampling, plan);
+        });
 }
 
 std::size_t
@@ -660,47 +549,20 @@ CheckpointStore::ensureLivePoints(
     const std::vector<uarch::MachineConfig> &configs,
     const SamplingConfig &sampling) const
 {
-    // Same miss/dedup policy as ensureImpl: "present" means a
-    // library that actually LOADS, and geometry-equal configs share
-    // one capture.
-    std::vector<const uarch::MachineConfig *> missing;
-    std::vector<LibraryKey> missingKeys;
-    for (const uarch::MachineConfig &config : configs) {
-        const LibraryKey key = LibraryKey::of(spec, config, sampling);
+    auto stored = [&](const LibraryKey &key) {
         std::string error;
         if (tryLoadLivePoints(key, &error))
-            continue;
+            return true;
         if (!error.empty())
-            SMARTS_WARN("checkpoint store: recapturing live-points "
-                        "(", error, ")");
-        bool duplicate = false;
-        for (const LibraryKey &seen : missingKeys)
-            duplicate |= seen.geometryHash == key.geometryHash;
-        if (duplicate)
-            continue;
-        missing.push_back(&config);
-        missingKeys.push_back(key);
-    }
-    if (missing.empty())
-        return 0;
-
-    std::vector<uarch::MachineConfig> captureConfigs;
-    captureConfigs.reserve(missing.size());
-    for (const uarch::MachineConfig *config : missing)
-        captureConfigs.push_back(*config);
-
-    MultiSession session(spec, captureConfigs);
-    const std::vector<LivePointLibrary> libraries =
-        LivePointLibrary::buildMulti(session, sampling);
-
-    for (std::size_t i = 0; i < libraries.size(); ++i) {
-        std::string error;
-        if (!saveLivePoints(libraries[i], missingKeys[i], &error))
-            SMARTS_FATAL("checkpoint store: cannot save ",
-                         livePointPathFor(missingKeys[i]), ": ",
-                         error);
-    }
-    return libraries.size();
+            SMARTS_WARN("checkpoint store: recapturing live-points (",
+                        error, ")");
+        return false;
+    };
+    return ensureWith<LivePointLibrary>(
+        spec, configs, sampling, /*livePoints=*/true, stored,
+        [&](MultiSession &session) {
+            return LivePointLibrary::buildMulti(session, sampling);
+        });
 }
 
 } // namespace smarts::core

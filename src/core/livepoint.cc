@@ -20,8 +20,11 @@ namespace {
 constexpr char kMagic[8] = {'S', 'M', 'R', 'T',
                             'L', 'V', 'P', 'T'};
 
-/** Same probe as the v1 format (docs/checkpoint-format.md). */
-constexpr std::uint32_t kEndianMark = 0x01020304u;
+// Older versions are refused, not migrated: the store is a cache,
+// and a refusal there is a recapture.
+const util::FileHeader kHeader{kMagic, kLivePointFormatVersion,
+                               "live-point library", "format",
+                               "reads only"};
 
 /**
  * The live-point capture pass: the sampling schedule
@@ -329,10 +332,7 @@ void
 LivePointLibrary::serialize(const LibraryKey &key,
                             util::BinaryWriter &out) const
 {
-    for (const char c : kMagic)
-        out.u8(static_cast<std::uint8_t>(c));
-    out.u32(kLivePointFormatVersion);
-    out.u32(kEndianMark);
+    out.header(kHeader);
     out.u8(kCheckpointFlavorSolo);
     key.write(out);
 
@@ -362,26 +362,10 @@ LivePointLibrary::load(const std::string &path,
 
     std::string ioError;
     util::BinaryReader in =
-        util::BinaryReader::fromFile(path, &ioError);
+        util::BinaryReader::fromFile(path, kHeader, &ioError);
     if (in.failed())
         return refuse(std::move(ioError));
-
-    for (const char c : kMagic)
-        if (in.u8() != static_cast<std::uint8_t>(c))
-            return refuse(log::format(
-                path, " is not a smarts live-point library"));
-    // Older versions are refused, not migrated: the store is a
-    // cache, and a refusal there is a recapture.
-    const std::uint32_t version = in.u32();
-    if (version != kLivePointFormatVersion)
-        return refuse(log::format(
-            path, " is format version ", version,
-            "; this build reads version ", kLivePointFormatVersion,
-            " only (recapture the library)"));
-    if (in.u32() != kEndianMark)
-        return refuse(log::format(path,
-                                  " has a bad endianness marker"));
-    const std::uint8_t flavor = in.u8();
+    const unsigned flavor = in.u8();
     if (flavor != kCheckpointFlavorSolo)
         return refuse(log::format(
             path, " holds flavor-", flavor,

@@ -95,12 +95,21 @@ struct MatchedSampling : ScheduleVisitor
 struct SystematicSampler::ShardTier
 {
     using Checkpoint = ArchCheckpoint;
-    using Library = CheckpointLibrary;
     using Slice = SliceResult;
     using Estimate = SmartsEstimate;
+    static constexpr const char *kLibrary = "checkpoint library";
 
     const SystematicSampler &sampler;
     const SessionFactory &factory;
+
+    ShardTier(const SystematicSampler &s, const SessionFactory &f)
+        : sampler(s), factory(f)
+    {
+        if (!factory)
+            SMARTS_FATAL("runSharded needs a session factory");
+    }
+
+    const SamplingConfig &config() const { return sampler.config_; }
 
     SliceResult
     runShard(const ShardSpec &shard, const ArchCheckpoint *cp) const
@@ -196,25 +205,8 @@ SystematicSampler::runSharded(const SessionFactory &factory,
                               std::size_t shards,
                               exec::ThreadPool &pool) const
 {
-    return runShardedCold(factory, streamLength, shards, pool,
-                          nullptr);
-}
-
-SmartsEstimate
-SystematicSampler::runShardedCold(const SessionFactory &factory,
-                                  std::uint64_t streamLength,
-                                  std::size_t shards,
-                                  exec::ThreadPool &pool,
-                                  CheckpointLibrary *collect) const
-{
-    if (!factory)
-        SMARTS_FATAL("runSharded needs a session factory");
-    const std::vector<ShardSpec> plan =
-        CheckpointLibrary::planShards(config_, streamLength, shards);
-    if (collect)
-        *collect = CheckpointLibrary::prepare(config_, plan);
-    return executeShards(ShardTier{*this, factory}, plan, pool, nullptr,
-                         collect);
+    return executeCold(ShardTier(*this, factory), streamLength, shards,
+                       pool);
 }
 
 SmartsEstimate
@@ -226,24 +218,9 @@ SystematicSampler::runSharded(const SessionFactory &factory,
                               exec::ThreadPool &pool,
                               CheckpointStore &store) const
 {
-    const LibraryKey key = LibraryKey::of(spec, machine, config_);
-    std::string error;
-    if (std::optional<CheckpointLibrary> library =
-            store.tryLoad(key, &error))
-        return runSharded(factory, *library, pool);
-    // A file that exists but refuses to load is a recapture, never a
-    // mis-warm; say why (tryLoad names the key component — benchmark,
-    // sampling design, geometry hash — or the failing record).
-    if (!error.empty())
-        SMARTS_WARN("checkpoint store: recapturing (", error, ")");
-
-    CheckpointLibrary library;
-    const SmartsEstimate est = runShardedCold(
-        factory, streamLength, shards, pool, &library);
-    if (!store.save(key, library, &error))
-        SMARTS_WARN("checkpoint store: could not persist ",
-                    store.pathFor(key), " (", error, ")");
-    return est;
+    return executeStored(ShardTier(*this, factory), store,
+                         LibraryKey::of(spec, machine, config_),
+                         streamLength, shards, pool);
 }
 
 SmartsEstimate
@@ -251,15 +228,7 @@ SystematicSampler::runSharded(const SessionFactory &factory,
                               const CheckpointLibrary &library,
                               exec::ThreadPool &pool) const
 {
-    if (!factory)
-        SMARTS_FATAL("runSharded needs a session factory");
-    if (library.samplingConfig() != config_)
-        SMARTS_FATAL("checkpoint library was built for a different "
-                     "sampling design");
-    if (library.plan().empty())
-        SMARTS_FATAL("checkpoint library has no shards");
-    return executeShards(ShardTier{*this, factory}, library.plan(), pool,
-                         &library);
+    return executeLibrary(ShardTier(*this, factory), library, pool);
 }
 
 } // namespace smarts::core

@@ -1,14 +1,11 @@
 #include "core/store_index.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
 #include <vector>
-
-#include <unistd.h>
 
 #include "util/binary_io.hh"
 #include "util/logging.hh"
@@ -21,17 +18,14 @@ namespace {
 
 /** Journal header: magic, format version, endianness canary. */
 constexpr char kMagic[8] = {'S', 'M', 'R', 'T', 'S', 'I', 'D', 'X'};
-constexpr std::uint32_t kEndianMark = 0x01020304;
 constexpr std::size_t kHeaderBytes = 8 + 4 + 4;
 
 void
 encodeHeader(std::vector<std::uint8_t> &out)
 {
     util::BinaryWriter w;
-    for (const char c : kMagic)
-        w.u8(static_cast<std::uint8_t>(c));
-    w.u32(kStoreIndexFormatVersion);
-    w.u32(kEndianMark);
+    w.header({kMagic, kStoreIndexFormatVersion, "store index",
+              "format", "reads"});
     out.insert(out.end(), w.buffer().begin(), w.buffer().end());
 }
 
@@ -162,7 +156,7 @@ StoreIndex::load(const std::string &path, std::string *error)
         return refuse(log::format(
             path, " is format v", version, "; this build reads v",
             kStoreIndexFormatVersion));
-    if (endian != kEndianMark)
+    if (endian != util::kEndianMark)
         return refuse(log::format(
             path, " endianness canary mismatch"));
 
@@ -282,39 +276,11 @@ StoreIndex::saveSnapshot(const std::string &path,
     for (const auto &[rel, entry] : entries_)
         encodeRecord(out, Op::Add, rel, entry.bytes, entry.atime);
 
-    // Same atomic-publish idiom as BinaryWriter::writeFile, minus
-    // the trailing whole-file checksum (appends would invalidate
-    // it; records carry their own).
-    static std::atomic<unsigned> serial{0};
-    const fs::path tmp(log::format(
-        path, ".tmp.", ::getpid(), ".", serial.fetch_add(1)));
-    {
-        std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-        if (!f) {
-            if (error)
-                *error = log::format("cannot open ",
-                                           tmp.string());
-            return false;
-        }
-        f.write(reinterpret_cast<const char *>(out.data()),
-                static_cast<std::streamsize>(out.size()));
-        if (!f) {
-            if (error)
-                *error =
-                    log::format("short write to ", tmp.string());
-            return false;
-        }
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        if (error)
-            *error = log::format("cannot publish ", path, ": ",
-                                       ec.message());
-        fs::remove(tmp, ec);
-        return false;
-    }
-    return true;
+    // BinaryWriter::writeFile's atomic publish, minus the trailing
+    // whole-file checksum (appends would invalidate it; records
+    // carry their own).
+    return util::publishFile(path, out.data(), out.size(), nullptr, 0,
+                             error);
 }
 
 bool

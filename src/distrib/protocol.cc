@@ -19,14 +19,19 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/** File magics: 8 bytes each, version-independent. */
+/** File headers: 8-byte magics, version-independent. */
 constexpr char kManifestMagic[8] = {'S', 'M', 'R', 'T',
                                     'J', 'O', 'B', 'M'};
 constexpr char kResultMagic[8] = {'S', 'M', 'R', 'T',
                                   'R', 'S', 'L', 'T'};
-
-/** Endianness probe, same convention as the .smck format. */
-constexpr std::uint32_t kEndianMark = 0x01020304u;
+const util::FileHeader kManifestHeader{kManifestMagic,
+                                       kDistribFormatVersion,
+                                       "job manifest", "protocol",
+                                       "speaks"};
+const util::FileHeader kResultHeader{kResultMagic,
+                                     kDistribFormatVersion,
+                                     "shard result", "protocol",
+                                     "speaks"};
 
 std::string
 jobName(std::uint32_t config, std::uint32_t shard)
@@ -43,21 +48,7 @@ hex64(std::uint64_t v)
     return buf;
 }
 
-void
-writeMagic(util::BinaryWriter &out, const char (&magic)[8])
-{
-    for (const char c : magic)
-        out.u8(static_cast<std::uint8_t>(c));
-}
-
-bool
-readMagic(util::BinaryReader &in, const char (&magic)[8])
-{
-    bool ok = true;
-    for (const char c : magic)
-        ok &= in.u8() == static_cast<std::uint8_t>(c);
-    return ok;
-}
+} // namespace
 
 /**
  * MachineConfig serialization: every field, doubles as raw IEEE-754
@@ -68,7 +59,8 @@ readMagic(util::BinaryReader &in, const char (&magic)[8])
  * geometry hash deliberately ignores.
  */
 void
-writeMachine(util::BinaryWriter &out, const uarch::MachineConfig &c)
+writeMachineConfig(util::BinaryWriter &out,
+                   const uarch::MachineConfig &c)
 {
     out.str(c.name);
     out.u32(c.width);
@@ -103,7 +95,7 @@ writeMachine(util::BinaryWriter &out, const uarch::MachineConfig &c)
 }
 
 uarch::MachineConfig
-readMachine(util::BinaryReader &in)
+readMachineConfig(util::BinaryReader &in)
 {
     uarch::MachineConfig c;
     c.name = in.str();
@@ -138,25 +130,7 @@ readMachine(util::BinaryReader &in)
     return c;
 }
 
-void
-writeShard(util::BinaryWriter &out, const core::ShardSpec &shard)
-{
-    out.u64(shard.firstUnitIndex);
-    out.u64(shard.unitCount);
-    out.u64(shard.resumePos);
-    out.u8(shard.runsTail ? 1 : 0);
-}
-
-core::ShardSpec
-readShard(util::BinaryReader &in)
-{
-    core::ShardSpec shard;
-    shard.firstUnitIndex = in.u64();
-    shard.unitCount = in.u64();
-    shard.resumePos = in.u64();
-    shard.runsTail = in.u8() != 0;
-    return shard;
-}
+namespace {
 
 /** A process-unique temp name next to @p path (atomic-publish
  *  discipline, docs/distributed-runners.md § Atomicity). */
@@ -288,19 +262,6 @@ readRange(util::BinaryReader &in)
 }
 
 } // namespace
-
-void
-writeMachineConfig(util::BinaryWriter &out,
-                   const uarch::MachineConfig &config)
-{
-    writeMachine(out, config);
-}
-
-uarch::MachineConfig
-readMachineConfig(util::BinaryReader &in)
-{
-    return readMachine(in);
-}
 
 std::uint64_t
 buildFingerprint()
@@ -452,9 +413,7 @@ listResultRanges(const std::string &dir, std::uint32_t config)
 void
 JobManifest::serialize(util::BinaryWriter &out) const
 {
-    writeMagic(out, kManifestMagic);
-    out.u32(kDistribFormatVersion);
-    out.u32(kEndianMark);
+    out.header(kManifestHeader);
     out.u64(studyId);
     out.u64(fingerprint);
     out.u64(streamLength);
@@ -468,13 +427,13 @@ JobManifest::serialize(util::BinaryWriter &out) const
     base.write(out);
     out.u32(static_cast<std::uint32_t>(configs.size()));
     for (std::size_t c = 0; c < configs.size(); ++c) {
-        writeMachine(out, configs[c]);
+        writeMachineConfig(out, configs[c]);
         out.u64(geometryHashes[c]);
     }
     out.u8(static_cast<std::uint8_t>(mode));
     out.u64(plan.size());
     for (const core::ShardSpec &shard : plan)
-        writeShard(out, shard);
+        shard.write(out);
     out.u64(totalUnits);
     out.u64(ranges.size());
     for (const UnitRange &r : ranges)
@@ -500,21 +459,9 @@ JobManifest::load(const std::string &path, std::string *error)
 
     std::string ioError;
     util::BinaryReader in =
-        util::BinaryReader::fromFile(path, &ioError);
+        util::BinaryReader::fromFile(path, kManifestHeader, &ioError);
     if (in.failed())
         return refuse(std::move(ioError));
-
-    if (!readMagic(in, kManifestMagic))
-        return refuse(
-            log::format(path, " is not a smarts job manifest"));
-    const std::uint32_t version = in.u32();
-    if (version != kDistribFormatVersion)
-        return refuse(log::format(
-            path, " is protocol version ", version,
-            "; this build speaks version ", kDistribFormatVersion));
-    if (in.u32() != kEndianMark)
-        return refuse(log::format(path,
-                                  " has a bad endianness marker"));
 
     JobManifest m;
     m.studyId = in.u64();
@@ -531,7 +478,7 @@ JobManifest::load(const std::string &path, std::string *error)
     m.configs.reserve(configCount);
     m.geometryHashes.reserve(configCount);
     for (std::uint32_t c = 0; c < configCount; ++c) {
-        m.configs.push_back(readMachine(in));
+        m.configs.push_back(readMachineConfig(in));
         m.geometryHashes.push_back(in.u64());
     }
 
@@ -547,7 +494,7 @@ JobManifest::load(const std::string &path, std::string *error)
                                   shardCount, ")"));
     m.plan.reserve(shardCount);
     for (std::uint64_t s = 0; s < shardCount; ++s)
-        m.plan.push_back(readShard(in));
+        m.plan.push_back(core::ShardSpec::read(in));
 
     m.totalUnits = in.u64();
     const std::uint64_t rangeCount = in.u64();
@@ -643,16 +590,14 @@ JobManifest::load(const std::string &path, std::string *error)
 void
 ShardResult::serialize(util::BinaryWriter &out) const
 {
-    writeMagic(out, kResultMagic);
-    out.u32(kDistribFormatVersion);
-    out.u32(kEndianMark);
+    out.header(kResultHeader);
     out.u64(studyId);
     out.u8(static_cast<std::uint8_t>(mode));
     out.u32(configIndex);
     out.u32(shardIndex);
     writeRange(out, range);
     key.write(out);
-    writeShard(out, shard);
+    shard.write(out);
     out.u64(slice.measured);
     out.u64(slice.warmed);
     out.u64(slice.dropped);
@@ -688,21 +633,9 @@ parseResult(const std::string &path, ShardResult &r,
 
     std::string ioError;
     util::BinaryReader in =
-        util::BinaryReader::fromFile(path, &ioError);
+        util::BinaryReader::fromFile(path, kResultHeader, &ioError);
     if (in.failed())
         return refuse(std::move(ioError));
-
-    if (!readMagic(in, kResultMagic))
-        return refuse(
-            log::format(path, " is not a smarts shard result"));
-    const std::uint32_t version = in.u32();
-    if (version != kDistribFormatVersion)
-        return refuse(log::format(
-            path, " is protocol version ", version,
-            "; this build speaks version ", kDistribFormatVersion));
-    if (in.u32() != kEndianMark)
-        return refuse(log::format(path,
-                                  " has a bad endianness marker"));
 
     r.studyId = in.u64();
     const std::uint8_t modeByte = in.u8();
@@ -714,7 +647,7 @@ parseResult(const std::string &path, ShardResult &r,
     r.shardIndex = in.u32();
     r.range = readRange(in);
     r.key = core::LibraryKey::read(in);
-    r.shard = readShard(in);
+    r.shard = core::ShardSpec::read(in);
     r.slice.measured = in.u64();
     r.slice.warmed = in.u64();
     r.slice.dropped = in.u64();

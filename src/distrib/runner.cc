@@ -233,110 +233,131 @@ Runner::executeRange(const JobManifest &manifest,
     return result;
 }
 
+namespace {
+
+/**
+ * The one load-or-recapture step behind Runner::libraryFor and
+ * Runner::livePointsFor: serve config @p c from @p cache, else from
+ * the store (@p load) when the stored library fits the manifest
+ * (@p misfit says why not, empty when it does), else capture it
+ * locally (@p capture) and persist the repair (@p save) — a missing
+ * or REFUSED (corrupt, stale-version) file would otherwise force
+ * this recapture on every later study. The one file left alone is a
+ * healthy mismatched library: it may be exactly what another study
+ * wants.
+ */
+template <typename Library, typename Load, typename Misfit,
+          typename Capture, typename Save>
+const Library &
+loadOrCapture(std::map<std::uint32_t, Library> &cache, std::uint32_t c,
+              const std::string &runnerId, const char *what,
+              const std::string &path, Load load, Misfit misfit,
+              Capture capture, Save save)
+{
+    const auto cached = cache.find(c);
+    if (cached != cache.end())
+        return cached->second;
+
+    std::string error;
+    bool mismatch = false;
+    if (std::optional<Library> loaded = load(&error)) {
+        const std::string why = misfit(*loaded);
+        if (why.empty())
+            return cache.emplace(c, std::move(*loaded)).first->second;
+        mismatch = true;
+        SMARTS_WARN("runner ", runnerId, ": stored ", what, " ", path,
+                    " ", why);
+    } else if (!error.empty()) {
+        SMARTS_WARN("runner ", runnerId, ": recapturing (", error, ")");
+    }
+
+    Library built = capture();
+    if (!mismatch && !save(built, &error))
+        SMARTS_WARN("runner ", runnerId, ": could not persist ", path,
+                    " (", error, ")");
+    return cache.emplace(c, std::move(built)).first->second;
+}
+
+} // namespace
+
+void
+Runner::enterStudy(std::uint64_t studyId)
+{
+    if (cachedStudyId_ == studyId)
+        return;
+    libraries_.clear();
+    livePointLibraries_.clear();
+    cachedStudyId_ = studyId;
+}
+
 const core::CheckpointLibrary &
 Runner::libraryFor(const JobManifest &manifest, std::uint32_t c)
 {
-    if (cachedStudyId_ != manifest.studyId) {
-        libraries_.clear();
-        livePointLibraries_.clear();
-        cachedStudyId_ = manifest.studyId;
-    }
-    const auto cached = libraries_.find(c);
-    if (cached != libraries_.end())
-        return cached->second;
-
+    enterStudy(manifest.studyId);
     const core::LibraryKey key = manifest.keyFor(c);
-    std::string error;
-    bool planMismatch = false;
-    if (std::optional<core::CheckpointLibrary> loaded =
-            store_.tryLoad(key, &error)) {
-        if (loaded->plan() == manifest.plan)
-            return libraries_
-                .emplace(c, std::move(*loaded))
-                .first->second;
-        planMismatch = true;
-        SMARTS_WARN("runner ", options_.id, ": stored library ",
-                    store_.pathFor(key),
-                    " was captured under a different shard plan; "
-                    "recapturing with the manifest's");
-    } else if (!error.empty()) {
-        SMARTS_WARN("runner ", options_.id, ": recapturing (", error,
-                    ")");
-    }
-
-    // Fallback: capture with the manifest's plan, and persist the
-    // repair — a missing or REFUSED (corrupt, stale-version) file
-    // would otherwise force this recapture on every later study.
-    // The one file left alone is a healthy plan-mismatched library:
-    // it may be exactly what another study wants.
-    core::SimSession session(manifest.benchmark,
-                             manifest.configs[c]);
-    core::CheckpointLibrary built = core::CheckpointLibrary::build(
-        session, manifest.sampling, manifest.plan);
-    if (!planMismatch && !store_.save(key, built, &error))
-        SMARTS_WARN("runner ", options_.id, ": could not persist ",
-                    store_.pathFor(key), " (", error, ")");
-    return libraries_.emplace(c, std::move(built)).first->second;
+    return loadOrCapture(
+        libraries_, c, options_.id, "library", store_.pathFor(key),
+        [&](std::string *error) { return store_.tryLoad(key, error); },
+        [&](const core::CheckpointLibrary &loaded) {
+            return loaded.plan() == manifest.plan
+                       ? std::string()
+                       : std::string("was captured under a different "
+                                     "shard plan; recapturing with the "
+                                     "manifest's");
+        },
+        [&] {
+            core::SimSession session(manifest.benchmark,
+                                     manifest.configs[c]);
+            return core::CheckpointLibrary::build(
+                session, manifest.sampling, manifest.plan);
+        },
+        [&](const core::CheckpointLibrary &built, std::string *error) {
+            return store_.save(key, built, error);
+        });
 }
 
 const core::LivePointLibrary &
 Runner::livePointsFor(const JobManifest &manifest, std::uint32_t c)
 {
-    if (cachedStudyId_ != manifest.studyId) {
-        libraries_.clear();
-        livePointLibraries_.clear();
-        cachedStudyId_ = manifest.studyId;
-    }
-    const auto cached = livePointLibraries_.find(c);
-    if (cached != livePointLibraries_.end())
-        return cached->second;
-
+    enterStudy(manifest.studyId);
     const core::LibraryKey key = manifest.keyFor(c);
-    std::string error;
-    bool mismatch = false;
-    if (std::optional<core::LivePointLibrary> loaded =
-            store_.tryLoadLivePoints(key, &error)) {
-        if (loaded->unitCount() == manifest.totalUnits &&
-            loaded->streamLength() == manifest.streamLength)
-            return livePointLibraries_
-                .emplace(c, std::move(*loaded))
-                .first->second;
-        mismatch = true;
-        SMARTS_WARN("runner ", options_.id,
-                    ": stored live-point library ",
-                    store_.livePointPathFor(key), " has ",
-                    loaded->unitCount(), " units over ",
-                    loaded->streamLength(),
-                    " instructions, but the manifest says ",
-                    manifest.totalUnits, " over ",
-                    manifest.streamLength, "; recapturing");
-    } else if (!error.empty()) {
-        SMARTS_WARN("runner ", options_.id, ": recapturing (",
-                    error, ")");
-    }
-
-    // Fallback: capture live-points locally; persist the repair for
-    // a missing or refused file (a healthy-but-mismatched one is
-    // left alone — it may be what another study wants).
-    core::SimSession session(manifest.benchmark,
-                             manifest.configs[c]);
-    core::LivePointLibrary built = core::LivePointLibrary::build(
-        session, manifest.sampling);
-    if (built.unitCount() != manifest.totalUnits ||
-        built.streamLength() != manifest.streamLength)
-        SMARTS_FATAL("runner ", options_.id,
-                     ": locally captured live-points (",
-                     built.unitCount(), " units over ",
-                     built.streamLength(),
-                     " instructions) disagree with the manifest (",
-                     manifest.totalUnits, " over ",
-                     manifest.streamLength,
-                     ") — benchmark sources diverged?");
-    if (!mismatch && !store_.saveLivePoints(built, key, &error))
-        SMARTS_WARN("runner ", options_.id, ": could not persist ",
-                    store_.livePointPathFor(key), " (", error, ")");
-    return livePointLibraries_.emplace(c, std::move(built))
-        .first->second;
+    auto misfit = [&manifest](const core::LivePointLibrary &library) {
+        if (library.unitCount() == manifest.totalUnits &&
+            library.streamLength() == manifest.streamLength)
+            return std::string();
+        return log::format("has ", library.unitCount(), " units over ",
+                           library.streamLength(),
+                           " instructions, but the manifest says ",
+                           manifest.totalUnits, " over ",
+                           manifest.streamLength, "; recapturing");
+    };
+    return loadOrCapture(
+        livePointLibraries_, c, options_.id, "live-point library",
+        store_.livePointPathFor(key),
+        [&](std::string *error) {
+            return store_.tryLoadLivePoints(key, error);
+        },
+        misfit,
+        [&] {
+            core::SimSession session(manifest.benchmark,
+                                     manifest.configs[c]);
+            core::LivePointLibrary built =
+                core::LivePointLibrary::build(session, manifest.sampling);
+            if (!misfit(built).empty())
+                SMARTS_FATAL("runner ", options_.id,
+                             ": locally captured live-points (",
+                             built.unitCount(), " units over ",
+                             built.streamLength(),
+                             " instructions) disagree with the "
+                             "manifest (",
+                             manifest.totalUnits, " over ",
+                             manifest.streamLength,
+                             ") — benchmark sources diverged?");
+            return built;
+        },
+        [&](const core::LivePointLibrary &built, std::string *error) {
+            return store_.saveLivePoints(built, key, error);
+        });
 }
 
 } // namespace smarts::distrib

@@ -23,53 +23,14 @@ constexpr char kRequestMagic[8] = {'S', 'M', 'R', 'T',
 constexpr char kReplyMagic[8] = {'S', 'M', 'R', 'T',
                                  'S', 'R', 'E', 'P'};
 
-/** Endianness probe, same convention as the .smck format. */
-constexpr std::uint32_t kEndianMark = 0x01020304u;
-
-void
-writeMagic(util::BinaryWriter &out, const char (&magic)[8])
-{
-    for (const char c : magic)
-        out.u8(static_cast<std::uint8_t>(c));
-}
-
-bool
-readMagic(util::BinaryReader &in, const char (&magic)[8])
-{
-    bool ok = true;
-    for (const char c : magic)
-        ok &= in.u8() == static_cast<std::uint8_t>(c);
-    return ok;
-}
-
-/** Shared header check for both file kinds. */
-bool
-checkHeader(util::BinaryReader &in, const char (&magic)[8],
-            const std::string &path, const char *what,
-            std::string *error)
-{
-    if (!readMagic(in, magic)) {
-        if (error)
-            *error = log::format(path, " is not a smarts ", what);
-        return false;
-    }
-    const std::uint32_t version = in.u32();
-    if (version != kStoreServiceFormatVersion) {
-        if (error)
-            *error = log::format(
-                path, " is store-service version ", version,
-                "; this build speaks version ",
-                kStoreServiceFormatVersion);
-        return false;
-    }
-    if (in.u32() != kEndianMark) {
-        if (error)
-            *error =
-                log::format(path, " has a bad endianness marker");
-        return false;
-    }
-    return true;
-}
+const util::FileHeader kRequestHeader{kRequestMagic,
+                                      kStoreServiceFormatVersion,
+                                      "store-service request",
+                                      "store-service", "speaks"};
+const util::FileHeader kReplyHeader{kReplyMagic,
+                                    kStoreServiceFormatVersion,
+                                    "store-service reply",
+                                    "store-service", "speaks"};
 
 } // namespace
 
@@ -108,9 +69,7 @@ bool
 StoreRequest::save(const std::string &path, std::string *error) const
 {
     util::BinaryWriter out;
-    writeMagic(out, kRequestMagic);
-    out.u32(kStoreServiceFormatVersion);
-    out.u32(kEndianMark);
+    out.header(kRequestHeader);
     out.str(reqId);
     out.u8(static_cast<std::uint8_t>(kind));
     // Benchmark + sampling + geometry via the LibraryKey encoding
@@ -132,12 +91,9 @@ StoreRequest::load(const std::string &path, std::string *error)
 
     std::string ioError;
     util::BinaryReader in =
-        util::BinaryReader::fromFile(path, &ioError);
+        util::BinaryReader::fromFile(path, kRequestHeader, &ioError);
     if (in.failed())
         return refuse(std::move(ioError));
-    if (!checkHeader(in, kRequestMagic, path,
-                     "store-service request", error))
-        return std::nullopt;
 
     StoreRequest r;
     r.reqId = in.str();
@@ -180,9 +136,7 @@ StoreReply::save(const std::string &file,
                  std::string *error) const
 {
     util::BinaryWriter out;
-    writeMagic(out, kReplyMagic);
-    out.u32(kStoreServiceFormatVersion);
-    out.u32(kEndianMark);
+    out.header(kReplyHeader);
     out.str(reqId);
     out.u8(static_cast<std::uint8_t>(status));
     out.str(path);
@@ -205,12 +159,9 @@ StoreReply::load(const std::string &path, std::string *error)
 
     std::string ioError;
     util::BinaryReader in =
-        util::BinaryReader::fromFile(path, &ioError);
+        util::BinaryReader::fromFile(path, kReplyHeader, &ioError);
     if (in.failed())
         return refuse(std::move(ioError));
-    if (!checkHeader(in, kReplyMagic, path, "store-service reply",
-                     error))
-        return std::nullopt;
 
     StoreReply r;
     r.reqId = in.str();

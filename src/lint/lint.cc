@@ -413,7 +413,8 @@ inLoadScope(const std::string &path)
            pathContains(path, "livepoint") ||
            pathContains(path, "persist") ||
            pathContains(path, "store_index") ||
-           pathContains(path, "/distrib/");
+           pathContains(path, "/distrib/") ||
+           pathContains(path, "/mp/");
 }
 
 /** Files on a parallel merge/fold path (float-fold-discipline). */

@@ -66,11 +66,17 @@ struct MixSliceSampling : core::ScheduleVisitor
 struct MixSampler::ShardTier
 {
     using Checkpoint = MixCheckpoint;
-    using Library = MixLibrary;
     using Slice = MixSliceResult;
     using Estimate = MixEstimate;
+    static constexpr const char *kLibrary = "mix library";
 
     const MixSampler &sampler;
+
+    const core::SamplingConfig &
+    config() const
+    {
+        return sampler.sampling_;
+    }
 
     MixSliceResult
     runShard(const core::ShardSpec &shard, const MixCheckpoint *cp) const
@@ -199,35 +205,15 @@ MixSampler::runSharded(std::uint64_t streamLength,
                        std::size_t shards,
                        exec::ThreadPool &pool) const
 {
-    return runShardedCold(streamLength, shards, pool, nullptr);
-}
-
-MixEstimate
-MixSampler::runShardedCold(std::uint64_t streamLength,
-                           std::size_t shards,
-                           exec::ThreadPool &pool,
-                           MixLibrary *collect) const
-{
-    const std::vector<core::ShardSpec> plan =
-        core::CheckpointLibrary::planShards(sampling_, streamLength,
-                                            shards);
-    if (collect)
-        *collect = MixLibrary::prepare(sampling_, plan);
-    return core::executeShards(ShardTier{*this}, plan, pool, nullptr,
-                               collect);
+    return core::executeCold(ShardTier{*this}, streamLength, shards,
+                             pool);
 }
 
 MixEstimate
 MixSampler::runSharded(const MixLibrary &library,
                        exec::ThreadPool &pool) const
 {
-    if (library.samplingConfig() != sampling_)
-        SMARTS_FATAL("mix library was built for a different "
-                     "sampling design");
-    if (library.plan().empty())
-        SMARTS_FATAL("mix library has no shards");
-    return core::executeShards(ShardTier{*this}, library.plan(), pool,
-                               &library);
+    return core::executeLibrary(ShardTier{*this}, library, pool);
 }
 
 MixEstimate
@@ -235,42 +221,9 @@ MixSampler::runSharded(std::uint64_t streamLength,
                        std::size_t shards, exec::ThreadPool &pool,
                        core::CheckpointStore &store) const
 {
-    const core::LibraryKey key = mixKey(mix_, machine_, sampling_);
-    std::optional<MixLibrary> library;
-    std::string error;
-    store.loadEntry(
-        key,
-        [&library, this](const std::string &path,
-                         std::string *loadError) {
-            library = MixLibrary::load(path, mix_,
-                                       mixKey(mix_, machine_,
-                                              samplingConfig()),
-                                       loadError);
-            return library.has_value();
-        },
-        &error);
-    if (library)
-        return runSharded(*library, pool);
-    // A file that exists but refuses to load is a recapture, never a
-    // mis-warm; say why.
-    if (!error.empty())
-        SMARTS_WARN("checkpoint store: recapturing mix (", error,
-                    ")");
-
-    MixLibrary captured;
-    const MixEstimate est =
-        runShardedCold(streamLength, shards, pool, &captured);
-    if (!store.publishEntry(
-            key,
-            [this, &captured, &key](const std::string &path,
-                                    std::string *saveError) {
-                return captured.save(mix_, key, path, saveError,
-                                     /*createDirs=*/false);
-            },
-            &error))
-        SMARTS_WARN("checkpoint store: could not persist ",
-                    store.pathFor(key), " (", error, ")");
-    return est;
+    return core::executeStored(ShardTier{*this}, store,
+                               mixKey(mix_, machine_, sampling_),
+                               streamLength, shards, pool);
 }
 
 MixEstimate

@@ -15,33 +15,19 @@ namespace smarts::util {
 namespace fs = std::filesystem;
 
 bool
-BinaryWriter::writeFile(const std::string &path, std::string *error,
-                        bool createDirs) const
+publishFile(const std::string &path, const std::uint8_t *data,
+            std::size_t size, const std::uint8_t *trailer,
+            std::size_t trailerSize, std::string *error)
 {
-    const std::uint64_t checksum =
-        fnv1a(buffer_.data(), buffer_.size());
-
-    std::error_code ec;
-    const fs::path target(path);
-    if (createDirs && target.has_parent_path()) {
-        fs::create_directories(target.parent_path(), ec);
-        if (ec) {
-            if (error)
-                *error = log::format("cannot create directory ",
-                                     target.parent_path().string(),
-                                     ": ", ec.message());
-            return false;
-        }
-    }
-
     // Write-then-rename so a crash mid-write never leaves a
-    // half-written file behind a valid library path. The temp name
-    // carries the pid and a per-process counter so two processes
-    // (or threads) racing to save the same key each write their own
-    // file; last rename wins with a complete library either way.
+    // half-written file behind a valid path. The temp name carries
+    // the pid and a per-process counter so two processes (or
+    // threads) racing to publish the same path each write their own
+    // file; last rename wins with a complete file either way.
     static std::atomic<unsigned> serial{0};
     const fs::path tmp(log::format(path, ".tmp.", ::getpid(), ".",
                                    serial.fetch_add(1)));
+    std::error_code ec;
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out) {
@@ -50,14 +36,11 @@ BinaryWriter::writeFile(const std::string &path, std::string *error,
                                      " for writing");
             return false;
         }
-        out.write(reinterpret_cast<const char *>(buffer_.data()),
-                  static_cast<std::streamsize>(buffer_.size()));
-        std::uint8_t trailer[8];
-        for (int i = 0; i < 8; ++i)
-            trailer[i] =
-                static_cast<std::uint8_t>(checksum >> (8 * i));
-        out.write(reinterpret_cast<const char *>(trailer),
-                  sizeof trailer);
+        out.write(reinterpret_cast<const char *>(data),
+                  static_cast<std::streamsize>(size));
+        if (trailerSize)
+            out.write(reinterpret_cast<const char *>(trailer),
+                      static_cast<std::streamsize>(trailerSize));
         if (!out) {
             if (error)
                 *error = log::format("short write to ", tmp.string());
@@ -66,7 +49,7 @@ BinaryWriter::writeFile(const std::string &path, std::string *error,
             return false;
         }
     }
-    fs::rename(tmp, target, ec);
+    fs::rename(tmp, path, ec);
     if (ec) {
         if (error)
             *error = log::format("cannot publish ", path, ": ",
@@ -77,8 +60,34 @@ BinaryWriter::writeFile(const std::string &path, std::string *error,
     return true;
 }
 
+bool
+BinaryWriter::writeFile(const std::string &path, std::string *error,
+                        bool createDirs) const
+{
+    const fs::path target(path);
+    if (createDirs && target.has_parent_path()) {
+        std::error_code ec;
+        fs::create_directories(target.parent_path(), ec);
+        if (ec) {
+            if (error)
+                *error = log::format("cannot create directory ",
+                                     target.parent_path().string(),
+                                     ": ", ec.message());
+            return false;
+        }
+    }
+    const std::uint64_t checksum =
+        fnv1a(buffer_.data(), buffer_.size());
+    std::uint8_t trailer[8];
+    for (int i = 0; i < 8; ++i)
+        trailer[i] = static_cast<std::uint8_t>(checksum >> (8 * i));
+    return publishFile(path, buffer_.data(), buffer_.size(), trailer,
+                       sizeof trailer, error);
+}
+
 BinaryReader
-BinaryReader::fromFile(const std::string &path, std::string *error)
+BinaryReader::fromFile(const std::string &path,
+                       const FileHeader &header, std::string *error)
 {
     auto failed = [error](std::string why) {
         if (error)
@@ -111,7 +120,20 @@ BinaryReader::fromFile(const std::string &path, std::string *error)
             path, " failed its checksum (truncated or corrupt)"));
 
     bytes.resize(payload);
-    return BinaryReader(std::move(bytes));
+    BinaryReader reader(std::move(bytes));
+    for (std::size_t i = 0; i < 8; ++i)
+        if (reader.u8() != static_cast<std::uint8_t>(header.magic[i]))
+            return failed(
+                log::format(path, " is not a smarts ", header.what));
+    const std::uint32_t version = reader.u32();
+    if (version != header.version)
+        return failed(log::format(path, " is ", header.kind,
+                                  " version ", version, "; this build ",
+                                  header.verb, " version ",
+                                  header.version));
+    if (reader.u32() != kEndianMark)
+        return failed(log::format(path, " has a bad endianness marker"));
+    return reader;
 }
 
 } // namespace smarts::util

@@ -1033,6 +1033,29 @@ testUnitRangeStudy()
         CHECK(merged.has_value());
         CHECK(fingerprint(merged->front()) == fingerprint(serial));
     }
+
+    // A REFUSED live-point file (corrupt in transit) is repaired by
+    // the runner's fallback capture, exactly as a refused shard
+    // library is (testStorePlanMismatchFallback).
+    {
+        const std::string path =
+            store.livePointPathFor(manifest.keyFor(0));
+        std::vector<std::uint8_t> bytes = readFileBytes(path);
+        bytes[bytes.size() / 2] ^= 0x04;
+        writeFileBytes(path, bytes);
+        CHECK(!store.tryLoadLivePoints(manifest.keyFor(0)).has_value());
+
+        resetQueue(manifest);
+        distrib::Runner repairer(kQueue, kStore,
+                                 runnerOpts("lp-repairer", -1.0));
+        CHECK_EQ(repairer.drain(manifest), manifest.jobCount());
+        CHECK(store.tryLoadLivePoints(manifest.keyFor(0)).has_value());
+        std::string error;
+        const auto healed =
+            distrib::mergeStudy(kQueue, manifest, &error);
+        CHECK(healed.has_value());
+        CHECK(fingerprint(healed->front()) == fingerprint(serial));
+    }
 }
 
 void

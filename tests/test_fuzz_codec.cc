@@ -4,7 +4,9 @@
  * files an external party (or a crashed writer) controls: the delta
  * codec (util::deltaDecode, and util::deltaApply in place on
  * shrinking and growing states), whole `.smlp` live-point libraries
- * (core::LivePointLibrary::load) and the StoreIndex journal replay.
+ * (core::LivePointLibrary::load), whole `.smck` shard libraries of
+ * both flavors (core::CheckpointLibrary and mp::MixLibrary, one
+ * codec) and the StoreIndex journal replay.
  * Deterministic xoshiro-driven mutation loops — >= 10k cases each —
  * assert the decoders' whole contract: REFUSE (nullopt/diagnostic)
  * or decode, never crash, never overrun (the latter enforced by the
@@ -12,9 +14,12 @@
  * failure reproduces bit-for-bit on any host.
  */
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,6 +29,8 @@
 #include "core/livepoint.hh"
 #include "core/session.hh"
 #include "core/store_index.hh"
+#include "mp/mix_library.hh"
+#include "mp/mix_sampler.hh"
 #include "uarch/config.hh"
 #include "util/binary_io.hh"
 #include "util/delta_codec.hh"
@@ -417,6 +424,218 @@ testLivePointFileFuzz()
     }
 }
 
+/** A small machine whose warm state keeps fuzzed files small. */
+uarch::MachineConfig
+smallMachine()
+{
+    auto config = uarch::MachineConfig::eightWay();
+    config.mem.l1i = {1024, 2, 64, 1};
+    config.mem.l1d = {1024, 2, 64, 2};
+    config.mem.l2 = {4096, 4, 64, 12};
+    config.bpred = {8, 64, 4};
+    return config;
+}
+
+/**
+ * One `.smck` library under the fuzz loop: its file, where its first
+ * checkpoint slot starts (everything before is header, identity
+ * block, key and plan), and a reload that returns what loads from a
+ * path re-serialized — nullopt plus the diagnostic on a refusal.
+ */
+struct ShardLibraryFile
+{
+    const char *flavor;
+    std::vector<std::uint8_t> file;
+    std::size_t slots = 0;
+    std::function<std::optional<std::vector<std::uint8_t>>(
+        const std::string &path, std::string *why)>
+        reload;
+};
+
+/** Offset of slot 0 in @p library's serialized @p payloadSize bytes. */
+template <typename Library>
+std::size_t
+slotsOffset(const Library &library, std::size_t payloadSize)
+{
+    std::size_t checkpoints = 1; // slot 0: its presence byte only.
+    for (std::size_t s = 1; s < library.shardCount(); ++s) {
+        util::BinaryWriter cp;
+        library.at(s).write(cp);
+        checkpoints += 1 + cp.size();
+    }
+    return payloadSize - checkpoints;
+}
+
+template <typename Library>
+ShardLibraryFile
+shardFile(const char *flavor, const Library &library,
+          const typename Library::Key &key)
+{
+    const std::string source =
+        std::string(kRoot) + "/" + flavor + ".smck";
+    std::string error;
+    CHECK(library.save(key, source, &error));
+    ShardLibraryFile f;
+    f.flavor = flavor;
+    f.file = readBytes(source);
+    f.slots = slotsOffset(library, f.file.size() - 8);
+    f.reload = [key](const std::string &path, std::string *why)
+        -> std::optional<std::vector<std::uint8_t>> {
+        const auto loaded = Library::load(path, key, why);
+        if (!loaded)
+            return std::nullopt;
+        util::BinaryWriter out;
+        loaded->serialize(key, out);
+        return out.buffer();
+    };
+    return f;
+}
+
+/**
+ * Whole-file mutation loop over `.smck` libraries of both flavors,
+ * each mutation resealed with the file checksum so it reaches the
+ * container codec. Every case must refuse with a diagnostic or
+ * round-trip: what loads re-serializes to bytes that load back to
+ * the same bytes. Mutations confined to the header, identity block,
+ * key and plan have almost nothing well-formed to change into, so a
+ * load there must reproduce the original library.
+ */
+void
+testShardLibraryFileFuzz()
+{
+    const uarch::MachineConfig machine = smallMachine();
+    core::SamplingConfig sc;
+    sc.unitSize = 500;
+    sc.detailedWarming = 1000;
+    sc.interval = 20;
+    sc.warming = core::WarmingMode::Functional;
+
+    std::vector<ShardLibraryFile> files;
+    {
+        const auto spec =
+            workloads::findBenchmark("fsm-1", workloads::Scale::Mini);
+        std::uint64_t length = 0;
+        {
+            core::SimSession probe(spec, machine);
+            length = probe.fastForward(~0ull >> 1,
+                                       core::WarmingMode::None);
+        }
+        core::SimSession session(spec, machine);
+        const core::CheckpointLibrary library =
+            core::CheckpointLibrary::build(
+                session, sc,
+                core::CheckpointLibrary::planShards(sc, length, 3));
+        files.push_back(shardFile(
+            "solo", library, core::LibraryKey::of(spec, machine, sc)));
+    }
+    {
+        const mp::WorkloadMix mix = mp::WorkloadMix::of(
+            {workloads::findBenchmark("fsm-1", workloads::Scale::Mini),
+             workloads::findBenchmark("sort-1",
+                                      workloads::Scale::Mini)});
+        const mp::MixSampler sampler(mix, machine, sc);
+        mp::MixSession session = sampler.makeSession();
+        const mp::MixLibrary library = mp::MixLibrary::build(
+            session, sc,
+            core::CheckpointLibrary::planShards(
+                sc, sampler.measureStreamLength(), 3));
+        files.push_back(
+            shardFile("mix", library, mp::mixKey(mix, machine, sc)));
+    }
+
+    enum class Where { Anywhere, Head, Checkpoints };
+    struct Case
+    {
+        const char *name;
+        Where where;
+        int count;
+    };
+    const Case cases[] = {
+        {"file bytes, anywhere", Where::Anywhere, 2000},
+        {"header, identity, key and plan", Where::Head, 2000},
+        {"checkpoint slots", Where::Checkpoints, 2000},
+    };
+
+    const std::string target = std::string(kRoot) + "/fuzzed.smck";
+    const std::string again = std::string(kRoot) + "/reloaded.smck";
+    Xoshiro256StarStar rng(0x5ac4f11e5ull);
+    for (const ShardLibraryFile &f : files) {
+        std::string why;
+        writeBytes(target, f.file);
+        const auto pristine = f.reload(target, &why);
+        CHECK(pristine.has_value());
+        const std::vector<std::uint8_t> payload(f.file.begin(),
+                                                f.file.end() - 8);
+        CHECK(pristine && *pristine == payload);
+
+        for (const Case &c : cases) {
+            std::uint64_t refused = 0;
+            std::uint64_t loaded = 0;
+            for (int i = 0; i < c.count; ++i) {
+                std::vector<std::uint8_t> bytes = payload;
+                const std::uint64_t flips = 1 + rng.below(4);
+                switch (c.where) {
+                case Where::Anywhere:
+                    bytes = mutate(bytes, rng);
+                    break;
+                case Where::Head:
+                    for (std::uint64_t n = 0; n < flips; ++n)
+                        bytes[rng.below(f.slots + 1)] ^=
+                            static_cast<std::uint8_t>(
+                                1 + rng.below(255));
+                    break;
+                case Where::Checkpoints:
+                    for (std::uint64_t n = 0; n < flips; ++n)
+                        bytes[f.slots +
+                              rng.below(bytes.size() - f.slots)] ^=
+                            static_cast<std::uint8_t>(
+                                1 + rng.below(255));
+                    break;
+                }
+                bytes.resize(bytes.size() + 8);
+                resealFile(bytes);
+                writeBytes(target, bytes);
+
+                why.clear();
+                const auto got = f.reload(target, &why);
+                if (!got) {
+                    ++refused;
+                    CHECK(!why.empty());
+                    continue;
+                }
+                ++loaded;
+                if (c.where == Where::Head) {
+                    // Only the tail shard's unit count may differ:
+                    // the tail runs the stream out whatever it says,
+                    // so no plan check can pin it.
+                    std::vector<std::uint8_t> masked = *got;
+                    const std::size_t tailCount = f.slots - 8 - 17;
+                    std::copy(payload.begin() + tailCount,
+                              payload.begin() + tailCount + 8,
+                              masked.begin() + tailCount);
+                    CHECK(masked == payload);
+                    continue;
+                }
+                std::vector<std::uint8_t> sealed = *got;
+                sealed.resize(sealed.size() + 8);
+                resealFile(sealed);
+                writeBytes(again, sealed);
+                const auto twice = f.reload(again, &why);
+                CHECK(twice.has_value());
+                CHECK(twice && *twice == *got);
+            }
+            // Every case must exercise refusals and account for
+            // every mutation.
+            const bool sawRefusals = refused > 0;
+            CHECK(sawRefusals);
+            if (!sawRefusals)
+                std::fprintf(stderr, "  %s / %s: no refusals\n",
+                             f.flavor, c.name);
+            CHECK(refused + loaded == std::uint64_t(c.count));
+        }
+    }
+}
+
 void
 testStoreIndexJournalFuzz()
 {
@@ -505,6 +724,7 @@ main()
     testDeltaCodecFuzz();
     testDeltaApplyInPlace();
     testLivePointFileFuzz();
+    testShardLibraryFileFuzz();
     testStoreIndexJournalFuzz();
     TEST_MAIN_SUMMARY();
 }

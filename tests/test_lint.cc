@@ -109,6 +109,14 @@ testEachCheckFiresOnItsFixture()
     CHECK(r.diagnostics[0].message.find("before its first") !=
           std::string::npos);
 
+    // ...and so is the co-run tier (the "/mp/" directory rule): a
+    // mix loader that decodes before validating fires too.
+    r = lintOne("mp/mix_identity_nocheck.cc");
+    CHECK_EQ(r.diagnostics.size(), std::size_t(1));
+    CHECK_EQ(countAt(r, "checksum-before-use", 23), 1);
+    CHECK(r.diagnostics[0].message.find("loadMixHeader") !=
+          std::string::npos);
+
     // serializer-completeness over the co-run tier's state shapes
     // (dual-world lane counters, owner-tagged shared-cache arrays):
     // a forgotten newest field fires against write AND read, and a

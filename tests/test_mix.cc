@@ -3,14 +3,16 @@
  * Determinism and persistence contracts of the co-run tier
  * (mp::MixSampler): runMix estimates are byte-identical serial vs 2
  * vs 5 threads and cold-store vs warm-store; a MixLibrary
- * save/load roundtrip is byte-exact and every mis-load refuses by
- * name (wrong mix, solo-flavor file, mix file through the solo
- * loader); and a hand-downgraded version-1 solo checkpoint library
- * still loads through the v1->v2 migration path and reproduces the
- * serial estimate bit for bit.
+ * save/load roundtrip is byte-exact, every mis-load refuses by name
+ * (wrong mix, solo-flavor file, mix file through the solo loader)
+ * and a truncated, corrupted, version-bumped, re-flavored or
+ * bad-magic mix file refuses exactly as a solo one does; and a
+ * hand-downgraded version-1 solo library in a store is refused,
+ * recaptured and served bit-identically to the serial estimate.
  */
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -216,7 +218,7 @@ testMixLibraryRoundtripAndRefusals()
     const core::SamplingConfig sc = mixSampling();
     const mp::WorkloadMix mix =
         contendedMix(mem::PartitionPolicy::Shared);
-    const core::LibraryKey key = mp::mixKey(mix, machine, sc);
+    const mp::MixKey key = mp::mixKey(mix, machine, sc);
 
     // Build a real mix library over the full stream.
     mp::MixSampler sampler(mix, machine, sc);
@@ -231,15 +233,15 @@ testMixLibraryRoundtripAndRefusals()
 
     const std::string path = std::string(kRoot) + "/roundtrip.smck";
     std::string error;
-    CHECK(built.save(mix, key, path, &error));
+    CHECK(built.save(key, path, &error));
 
-    const auto loaded = mp::MixLibrary::load(path, mix, key, &error);
+    const auto loaded = mp::MixLibrary::load(path, key, &error);
     CHECK(loaded.has_value());
     {
         util::BinaryWriter a;
-        built.serialize(mix, key, a);
+        built.serialize(key, a);
         util::BinaryWriter b;
-        loaded->serialize(mix, key, b);
+        loaded->serialize(key, b);
         CHECK(a.buffer() == b.buffer());
     }
 
@@ -261,7 +263,7 @@ testMixLibraryRoundtripAndRefusals()
                                       workloads::Scale::Mini)});
         error.clear();
         const auto refused = mp::MixLibrary::load(
-            path, other, mp::mixKey(other, machine, sc), &error);
+            path, mp::mixKey(other, machine, sc), &error);
         CHECK(!refused.has_value());
         CHECK(!error.empty());
     }
@@ -290,7 +292,7 @@ testMixLibraryRoundtripAndRefusals()
 
         error.clear();
         const auto refused =
-            mp::MixLibrary::load(soloPath, mix, key, &error);
+            mp::MixLibrary::load(soloPath, key, &error);
         CHECK(!refused.has_value());
         CHECK(error.find("solo") != std::string::npos);
     }
@@ -303,18 +305,66 @@ testMixLibraryRoundtripAndRefusals()
         CHECK(!refused.has_value());
         CHECK(error.find("MixLibrary") != std::string::npos);
     }
+
+    // The container refusals of tests/test_persist.cc, against the
+    // mix flavor: one codec reads both, so both refuse alike.
+    const std::vector<std::uint8_t> good = readFileBytes(path);
+    auto expectRefusal = [&](const char *what,
+                             std::vector<std::uint8_t> bad,
+                             bool reseal, const char *needle) {
+        writeFileBytes(path, bad);
+        if (reseal)
+            resealChecksum(path);
+        std::string why;
+        CHECK(!mp::MixLibrary::load(path, key, &why).has_value());
+        const bool mentions = why.find(needle) != std::string::npos;
+        CHECK(mentions);
+        if (!mentions)
+            std::fprintf(stderr,
+                         "  %s: diagnostic \"%s\" lacks \"%s\"\n",
+                         what, why.c_str(), needle);
+    };
+    expectRefusal("truncation",
+                  std::vector<std::uint8_t>(
+                      good.begin(), good.begin() + good.size() / 2),
+                  false, "checksum");
+    {
+        std::vector<std::uint8_t> bad = good;
+        bad[bad.size() / 2] ^= 0x40;
+        expectRefusal("corruption", bad, false, "checksum");
+    }
+    {
+        std::vector<std::uint8_t> bad = good;
+        bad[8] = 3; // version u32 sits right after the 8-byte magic.
+        expectRefusal("version bump", bad, true, "format version 3");
+    }
+    {
+        std::vector<std::uint8_t> bad = good;
+        bad[16] = 0; // flavor u8 sits after magic+version+endian.
+        expectRefusal("solo flavor", bad, true,
+                      "core::CheckpointLibrary");
+    }
+    {
+        std::vector<std::uint8_t> bad = good;
+        bad[0] = 'X';
+        expectRefusal("magic", bad, true,
+                      "not a smarts checkpoint library");
+    }
+    writeFileBytes(path, good);
+    CHECK(mp::MixLibrary::load(path, key, &error).has_value());
 }
 
 /**
- * v1 -> v2 migration: a version-1 file (no flavor byte — the format
- * before the co-run tier) must still load and reproduce the serial
- * estimate bit for bit. The v1 bytes are produced by downgrading a
+ * No v1 read path: a version-1 `.smck` (the format before the co-run
+ * tier, without the flavor byte) at a key's store path is refused
+ * with the version diagnostic and counted as a refusal; the
+ * store-backed run recaptures over it bit-identically to serial, and
+ * the next lookup is a hit. The v1 bytes come from downgrading a
  * freshly serialized v2 library: drop the flavor byte at offset 16,
- * patch the version field back to 1, reseal the checksum — v1 is
- * exactly v2 minus the flavor byte by construction.
+ * patch the version field back to 1, reseal the checksum.
  */
 void
-testCheckpointV1MigrationLoad()
+testCheckpointV1RefusedAndRecaptured()
 {
     const uarch::MachineConfig machine =
         uarch::MachineConfig::eightWay();
@@ -336,7 +386,10 @@ testCheckpointV1MigrationLoad()
     const core::CheckpointLibrary built =
         core::CheckpointLibrary::build(session, sc, plan);
 
-    const std::string path = std::string(kRoot) + "/v1.smck";
+    const std::string root = std::string(kRoot) + "/v1store";
+    core::CheckpointStore store(root);
+    const std::string path = store.pathFor(key);
+    fs::create_directories(fs::path(path).parent_path());
     std::string error;
     CHECK(built.save(key, path, &error));
 
@@ -350,9 +403,10 @@ testCheckpointV1MigrationLoad()
     writeFileBytes(path, bytes);
     resealChecksum(path);
 
-    const auto migrated =
-        core::CheckpointLibrary::load(path, key, &error);
-    CHECK(migrated.has_value());
+    const core::StoreCounters before = store.counters();
+    CHECK(!store.tryLoad(key, &error).has_value());
+    CHECK(error.find("format version 1") != std::string::npos);
+    CHECK_EQ(store.counters().refusals, before.refusals + 1);
 
     const core::SystematicSampler solo(sc);
     const core::SessionFactory factory = [&spec, &machine] {
@@ -361,9 +415,13 @@ testCheckpointV1MigrationLoad()
     core::SimSession serialSession(spec, machine);
     const core::SmartsEstimate serial = solo.run(serialSession);
     exec::ThreadPool pool(2);
-    const core::SmartsEstimate sharded =
-        solo.runSharded(factory, *migrated, pool);
-    CHECK(fingerprint(serial) == fingerprint(sharded));
+    const core::SmartsEstimate recaptured = solo.runSharded(
+        factory, spec, machine, streamLength, 3, pool, store);
+    CHECK(fingerprint(serial) == fingerprint(recaptured));
+
+    const core::StoreCounters afterRun = store.counters();
+    CHECK(store.tryLoad(key, &error).has_value());
+    CHECK_EQ(store.counters().hits, afterRun.hits + 1);
 }
 
 } // namespace
@@ -378,6 +436,6 @@ main()
     testMixShardedMatchesSerialAcrossDesigns();
     testMixStoreColdVsWarm();
     testMixLibraryRoundtripAndRefusals();
-    testCheckpointV1MigrationLoad();
+    testCheckpointV1RefusedAndRecaptured();
     TEST_MAIN_SUMMARY();
 }
