@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 
 #include "util/logging.hh"
 
@@ -15,7 +14,6 @@ parseOptions(int argc, char **argv, bool default_quick,
     BenchOptions opt;
     opt.quickSuite = default_quick;
     opt.csvPath = default_csv;
-    opt.argv0 = argc > 0 ? argv[0] : "";
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -46,10 +44,8 @@ parseOptions(int argc, char **argv, bool default_quick,
             opt.section = v5;
         } else if (const char *v6 = value("--store=")) {
             opt.storePath = v6;
-        } else if (const char *v7 = value("--runner-bin=")) {
-            opt.runnerBin = v7;
-        } else if (const char *v8 = value("--json=")) {
-            opt.jsonPath = v8;
+        } else if (const char *v7 = value("--json=")) {
+            opt.jsonPath = v7;
         } else if (arg == "--benchmark_format" ||
                    arg.rfind("--benchmark", 0) == 0) {
             // Tolerate google-benchmark-style flags when invoked by
@@ -58,7 +54,7 @@ parseOptions(int argc, char **argv, bool default_quick,
             SMARTS_FATAL("unknown flag '", arg,
                          "' (supported: --scale=, --suite=, "
                          "--machine=, --csv=, --section=, "
-                         "--store=, --runner-bin=, --json=)");
+                         "--store=, --json=)");
         }
     }
     return opt;
@@ -73,17 +69,6 @@ machines(const BenchOptions &opt)
     if (opt.runSixteen)
         configs.push_back(uarch::MachineConfig::sixteenWay());
     return configs;
-}
-
-std::string
-runnerBinary(const BenchOptions &opt)
-{
-    if (!opt.runnerBin.empty())
-        return opt.runnerBin;
-    // The build puts bench/ and tools/ side by side.
-    return (std::filesystem::path(opt.argv0).parent_path() /
-            ".." / "tools" / "smarts_runner")
-        .string();
 }
 
 std::uint64_t

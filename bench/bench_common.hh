@@ -13,10 +13,6 @@
  *                              (benches that have sections)
  *   --store=<dir>              checkpoint-store root for benches
  *                              that persist/reuse warm libraries
- *   --runner-bin=<path>        smarts_runner binary for sections
- *                              that launch runner subprocesses
- *                              (default: <bench dir>/../tools/
- *                              smarts_runner)
  *   --json=<path>              machine-readable perf artifact for
  *                              benches that emit one (e.g. the
  *                              livepoint section's
@@ -49,9 +45,7 @@ struct BenchOptions
     std::string csvPath;
     std::string section; ///< empty = every section of the bench.
     std::string storePath; ///< checkpoint-store root (--store=).
-    std::string runnerBin; ///< smarts_runner override (--runner-bin=).
     std::string jsonPath;  ///< perf-artifact output path (--json=).
-    std::string argv0;     ///< the bench binary's own path.
 
     std::vector<workloads::BenchmarkSpec>
     suite() const
@@ -81,13 +75,6 @@ BenchOptions parseOptions(int argc, char **argv, bool default_quick,
 
 /** Machine configs selected by the options. */
 std::vector<uarch::MachineConfig> machines(const BenchOptions &opt);
-
-/**
- * Path of the smarts_runner binary for sections that launch runner
- * subprocesses: --runner-bin= when given, else
- * <dir of the bench binary>/../tools/smarts_runner.
- */
-std::string runnerBinary(const BenchOptions &opt);
 
 /** Paper-recommended detailed warming W for a machine (Section 5.1). */
 std::uint64_t recommendedW(const uarch::MachineConfig &config);

@@ -8,13 +8,7 @@
  * "sharded" measures checkpoint-sharded single-benchmark streams
  * (cold capture-bound vs warm library-reuse), "persist" measures
  * the persistent checkpoint store (capture once per --store
- * directory, zero capture cost on every rerun), "distrib" runs the
- * multi-PROCESS regime: a leader plus smarts_runner subprocesses
- * sharing a file-based work queue and a shipped store, merged
- * estimates golden-pinned bit-identical to serial, "distrib_scale"
- * measures the elastic unit-range scheduler at 1/2/4 in-process
- * runners plus a death/join chaos pass (BENCH_distrib.json artifact
- * via --json=), and "livepoint"
+ * directory, zero capture cost on every rerun), and "livepoint"
  * compares the per-unit live-point regime (capture once, measure
  * units in shuffled order, stop at the confidence target) against
  * the warm sharded path on a 2-config study, emitting the
@@ -43,16 +37,11 @@
  */
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <filesystem>
@@ -63,7 +52,6 @@
 #include "core/livepoint.hh"
 #include "core/perf_model.hh"
 #include "core/sampler.hh"
-#include "distrib/leader.hh"
 #include "exec/experiment.hh"
 #include "exec/thread_pool.hh"
 #include "mp/mix_sampler.hh"
@@ -488,471 +476,6 @@ persistSection(const BenchOptions &opt)
             "parameters)\n",
             extra == 0 ? "yes" : "NO — geometry hash bug");
     }
-    std::fflush(stdout);
-}
-
-/**
- * Distributed runners: the sections above scale one benchmark
- * across THREADS; this one scales it across PROCESSES — the
- * multi-host regime (ROADMAP "Distributed runners"), with hosts
- * stood in for by subprocesses. A leader plans the study, ships the
- * checkpoint store, and publishes a job manifest into a shared
- * queue directory; N smarts_runner subprocesses claim shard jobs
- * atomically, execute them against the store, and publish
- * checksummed result files; the leader folds completed shards in
- * shard order. The merged estimate is bit-identical to serial
- * run() — the column this section golden-pins — because every
- * process runs the same SystematicSampler::runSlice the in-process
- * sharded paths use (protocol: docs/distributed-runners.md).
- */
-void
-distribSection(const BenchOptions &opt)
-{
-    const auto config = uarch::MachineConfig::eightWay();
-    const auto suite = opt.suite();
-    const std::string root = opt.storePath.empty()
-                                 ? "table6_distrib_store"
-                                 : opt.storePath;
-    const std::string queue = root + "_queue";
-    const std::string runnerBin = runnerBinary(opt);
-    if (!std::filesystem::exists(runnerBin)) {
-        // Fatal only when the section was asked for by name; the
-        // sectionless grand tour stays self-contained for a bench
-        // binary copied out of its build tree.
-        if (opt.section == "distrib")
-            SMARTS_FATAL("smarts_runner not found at ", runnerBin,
-                         " (build the tools/ target, or pass "
-                         "--runner-bin=)");
-        std::printf("=== Distributed runners: SKIPPED (smarts_runner "
-                    "not found at %s; build tools/ or pass "
-                    "--runner-bin=) ===\n",
-                    runnerBin.c_str());
-        return;
-    }
-    core::CheckpointStore store(root);
-    constexpr int kRunners = 2;
-    constexpr std::size_t kShards = 6;
-
-    // Start from an empty queue every invocation: this section
-    // measures distributed EXECUTION, and a queue left by a prior
-    // bench run (same deterministic study id, results possibly from
-    // an older build of the model) would be merged instead of
-    // re-executed — the store is the reuse point, the queue is not.
-    std::filesystem::remove_all(queue);
-
-    std::printf("=== Distributed runners: leader + %d smarts_runner "
-                "subprocesses over a shipped store ===\n\n"
-                "store: %s\nqueue: %s\nrunner: %s\n\n",
-                kRunners, root.c_str(), queue.c_str(),
-                runnerBin.c_str());
-
-    // Deterministic, golden-pinned columns: the merged estimate is
-    // bit-identical to the serial run by contract, at any runner
-    // count, on any host.
-    TextTable det({"benchmark", "runners", "units", "cpi",
-                   "bitwise = serial?"});
-    TextTable times({"benchmark", "serial (s)", "ship store (s)",
-                     "distrib (s)"});
-
-    double sumSerial = 0.0, sumShip = 0.0, sumDistrib = 0.0;
-    std::size_t identicalCount = 0;
-    for (const auto &spec : suite) {
-        std::uint64_t length;
-        {
-            core::SimSession probe(spec, config);
-            length =
-                probe.fastForward(~0ull >> 1, core::WarmingMode::None);
-        }
-
-        core::SamplingConfig sc;
-        sc.unitSize = 1000;
-        sc.detailedWarming = recommendedW(config);
-        sc.warming = core::WarmingMode::Functional;
-        sc.interval = core::SamplingConfig::chooseInterval(
-            length, sc.unitSize, length / sc.unitSize / 4);
-
-        // Serial baseline.
-        core::SmartsEstimate serial;
-        double serialS;
-        {
-            core::SimSession s(spec, config);
-            const Stopwatch t;
-            serial = core::SystematicSampler(sc).run(s);
-            serialS = t.seconds();
-        }
-
-        // Leader: plan, ship the store (one-time capture), publish.
-        const distrib::JobManifest manifest = distrib::planStudy(
-            spec, {config}, sc, length, kShards);
-        double shipS;
-        {
-            const Stopwatch t;
-            distrib::ensureStudyStore(store, manifest);
-            shipS = t.seconds();
-        }
-        std::string error;
-        if (!distrib::publishStudy(queue, manifest, &error))
-            SMARTS_FATAL("cannot publish study: ", error);
-
-        // Runner subprocesses do ALL the shard work; the leader
-        // only polls and merges.
-        double distribS;
-        core::SmartsEstimate merged;
-        {
-            const Stopwatch t;
-            FILE *runners[kRunners] = {};
-            for (int r = 0; r < kRunners; ++r) {
-                const std::string cmd = log::format(
-                    "'", runnerBin, "' --dir='", queue,
-                    "' --store='", root, "' --id=bench-r", r,
-                    " --wait=30 >/dev/null 2>&1");
-                runners[r] = ::popen(cmd.c_str(), "r");
-                if (!runners[r])
-                    SMARTS_FATAL("cannot launch ", cmd);
-            }
-            const auto estimates = distrib::collectStudy(
-                queue, manifest, /*timeoutSeconds=*/300.0,
-                /*helper=*/nullptr, &error);
-            for (int r = 0; r < kRunners; ++r)
-                ::pclose(runners[r]);
-            if (!estimates)
-                SMARTS_FATAL("distributed study failed: ", error);
-            merged = estimates->front();
-            distribS = t.seconds();
-        }
-
-        const bool identical =
-            merged.fingerprint() == serial.fingerprint();
-        identicalCount += identical ? 1 : 0;
-        sumSerial += serialS;
-        sumShip += shipS;
-        sumDistrib += distribS;
-
-        det.row()
-            .add(spec.name)
-            .add(std::uint64_t(kRunners))
-            .add(merged.units())
-            .add(merged.cpi(), 4)
-            .add(identical ? "yes" : "NO");
-        times.row()
-            .add(spec.name)
-            .add(serialS, 2)
-            .add(shipS, 2)
-            .add(distribS, 2);
-        std::printf(".");
-        std::fflush(stdout);
-    }
-    std::printf("\n\n");
-
-    if (opt.section == "distrib")
-        emit(det, opt); // golden-pinned deterministic columns.
-    else
-        std::printf("%s\n", det.toString().c_str());
-    std::printf("%s\n", times.toString().c_str());
-
-    std::printf(
-        "serial %.2fs | ship store (capture, once per store) %.2fs "
-        "| distributed across %d runner processes %.2fs\n"
-        "merged estimates bit-identical to the serial run for "
-        "%zu/%zu benchmarks — the number that makes fleet-scale "
-        "fan-out safe: adding hosts can change wall-clock, never "
-        "results\n"
-        "(process spawn + file polling overhead dominates at mini "
-        "scale; the regime pays off when shard work is minutes, "
-        "i.e. exactly the studies that outgrow one machine)\n",
-        sumSerial, sumShip, kRunners, sumDistrib, identicalCount,
-        suite.size());
-    std::fflush(stdout);
-}
-
-/**
- * Elastic distributed scaling: the distrib section above pins the
- * PROTOCOL (subprocess runners, bit-identical merge); this one
- * measures the ELASTIC layer on in-process Runner threads, where
- * spawn cost cannot blur the curve. Per benchmark it runs the same
- * unit-range study (live-point-backed jobs, weighted per-runner
- * claim order) at 1, 2 and 4 runners, then a chaos pass where one
- * runner DIES mid-drain (cooperative cancel; its claim ages stale)
- * and a second JOINS late with a tight steal window while the
- * leader's collect loop splits the remaining ranges for it. Every
- * merged estimate — any runner count, any death/join history — is
- * bit-identical to serial run(), which is what the golden CSV pins;
- * the wall-clock curve and the duplicate-execution tally land in
- * the BENCH_distrib.json artifact (--json=).
- */
-void
-distribScaleSection(const BenchOptions &opt)
-{
-    const auto config = uarch::MachineConfig::eightWay();
-    const auto suite = opt.suite();
-    const std::string root = opt.storePath.empty()
-                                 ? "table6_scale_store"
-                                 : opt.storePath;
-    const std::string queue = root + "_queue";
-    core::CheckpointStore store(root);
-    constexpr std::size_t kJobs = 8;
-    const std::size_t counts[] = {1, 2, 4};
-
-    std::printf("=== Elastic distributed scaling: unit-range jobs, "
-                "1/2/4 runners + death/join chaos ===\n\n"
-                "store: %s\nqueue: %s\n\n",
-                root.c_str(), queue.c_str());
-
-    // Deterministic, golden-pinned columns: merged estimates are
-    // bit-identical to serial run() at every runner count and
-    // through the chaos pass, by contract.
-    TextTable det({"benchmark", "jobs", "units", "cpi", "1r=serial?",
-                   "2r=serial?", "4r=serial?", "elastic=serial?"});
-    TextTable times({"benchmark", "serial (s)", "1r (s)", "2r (s)",
-                     "4r (s)", "elastic (s)", "4r x"});
-
-    struct Row
-    {
-        std::string name;
-        std::uint64_t totalUnits = 0;
-        double serialS = 0.0;
-        double runS[3] = {0.0, 0.0, 0.0};
-        bool runIdentical[3] = {false, false, false};
-        double elasticS = 0.0;
-        bool elasticIdentical = false;
-        std::size_t duplicates = 0;
-        std::size_t finalRanges = 0;
-    };
-    std::vector<Row> rows;
-
-    for (const auto &spec : suite) {
-        std::uint64_t length;
-        {
-            core::SimSession probe(spec, config);
-            length =
-                probe.fastForward(~0ull >> 1, core::WarmingMode::None);
-        }
-
-        core::SamplingConfig sc;
-        sc.unitSize = 1000;
-        sc.detailedWarming = recommendedW(config);
-        sc.warming = core::WarmingMode::Functional;
-        sc.interval = core::SamplingConfig::chooseInterval(
-            length, sc.unitSize, length / sc.unitSize / 4);
-
-        Row row;
-        row.name = spec.name;
-
-        // Serial baseline.
-        core::SmartsEstimate serial;
-        {
-            core::SimSession s(spec, config);
-            const Stopwatch t;
-            serial = core::SystematicSampler(sc).run(s);
-            row.serialS = t.seconds();
-        }
-
-        // Unit-range study: live-point libraries once per store
-        // lifetime, then the manifest's jobs are unit ranges.
-        const distrib::LivePointPlan plan =
-            distrib::ensureStudyLivePoints(store, spec, {config}, sc);
-        row.totalUnits = plan.totalUnits;
-        const distrib::JobManifest manifest = distrib::planUnitStudy(
-            spec, {config}, sc, plan.streamLength, plan.totalUnits,
-            kJobs);
-
-        auto publishFresh = [&] {
-            std::filesystem::remove_all(queue);
-            std::string error;
-            if (!distrib::publishStudy(queue, manifest, &error))
-                SMARTS_FATAL("cannot publish study: ", error);
-        };
-
-        // The scaling curve: N in-process runners drain the study.
-        for (std::size_t i = 0; i < 3; ++i) {
-            publishFresh();
-            const Stopwatch t;
-            std::vector<std::thread> crew;
-            for (std::size_t r = 0; r < counts[i]; ++r)
-                crew.emplace_back([&, r] {
-                    distrib::RunnerOptions options;
-                    options.id = "scale-" + std::to_string(r);
-                    options.staleClaimSeconds = -1.0;
-                    distrib::Runner runner(queue, root, options);
-                    runner.drain(manifest);
-                });
-            for (std::thread &t2 : crew)
-                t2.join();
-            std::string error;
-            const auto merged =
-                distrib::mergeStudy(queue, manifest, &error);
-            if (!merged)
-                SMARTS_FATAL("scale run (", counts[i],
-                             " runners) failed: ", error);
-            row.runS[i] = t.seconds();
-            row.runIdentical[i] = merged->front().fingerprint() ==
-                                  serial.fingerprint();
-        }
-
-        // The chaos pass: runner A dies as its second job starts
-        // (claim abandoned mid-execution), runner B joins late with
-        // a tight steal window, and the leader's collect loop
-        // splits remaining ranges when it sees the new claimant.
-        {
-            publishFresh();
-            const Stopwatch t;
-            std::mutex tallyMutex;
-            std::map<std::string, int> tally;
-            std::atomic<int> started{0};
-
-            distrib::RunnerOptions aOpt;
-            aOpt.id = "chaos-victim";
-            aOpt.heartbeatSeconds = 0.0;
-            aOpt.cancelled = [&] { return started.load() >= 2; };
-            aOpt.onExecute = [&](const std::string &job) {
-                ++started;
-                std::lock_guard<std::mutex> lock(tallyMutex);
-                ++tally[job];
-            };
-            std::thread victim([&] {
-                distrib::Runner a(queue, root, aOpt);
-                a.drain(manifest);
-            });
-
-            distrib::RunnerOptions bOpt;
-            bOpt.id = "chaos-joiner";
-            bOpt.staleClaimSeconds = 0.3;
-            bOpt.onExecute = [&](const std::string &job) {
-                std::lock_guard<std::mutex> lock(tallyMutex);
-                ++tally[job];
-            };
-            std::thread joiner([&] {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(400));
-                distrib::Runner b(queue, root, bOpt);
-                const auto deadline =
-                    std::chrono::steady_clock::now() +
-                    std::chrono::seconds(120);
-                while (!distrib::studyComplete(queue, manifest) &&
-                       std::chrono::steady_clock::now() < deadline) {
-                    b.drain(manifest);
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(50));
-                }
-            });
-
-            std::string error;
-            const auto collected = distrib::collectStudy(
-                queue, manifest, /*timeoutSeconds=*/120.0,
-                /*helper=*/nullptr, &error);
-            victim.join();
-            joiner.join();
-            if (!collected)
-                SMARTS_FATAL("elastic run failed: ", error);
-            row.elasticS = t.seconds();
-            row.elasticIdentical =
-                collected->front().fingerprint() ==
-                serial.fingerprint();
-            for (const auto &[job, n] : tally)
-                row.duplicates += n > 1 ? std::size_t(n - 1) : 0;
-            row.finalRanges = distrib::listRanges(queue).size();
-        }
-
-        det.row()
-            .add(row.name)
-            .add(std::uint64_t(kJobs))
-            .add(row.totalUnits)
-            .add(serial.cpi(), 4)
-            .add(row.runIdentical[0] ? "yes" : "NO")
-            .add(row.runIdentical[1] ? "yes" : "NO")
-            .add(row.runIdentical[2] ? "yes" : "NO")
-            .add(row.elasticIdentical ? "yes" : "NO");
-        times.row()
-            .add(row.name)
-            .add(row.serialS, 2)
-            .add(row.runS[0], 2)
-            .add(row.runS[1], 2)
-            .add(row.runS[2], 2)
-            .add(row.elasticS, 2)
-            .add(row.serialS / row.runS[2], 2);
-        rows.push_back(row);
-        std::printf(".");
-        std::fflush(stdout);
-    }
-    std::printf("\n\n");
-
-    if (opt.section == "distrib_scale")
-        emit(det, opt); // golden-pinned deterministic columns.
-    else
-        std::printf("%s\n", det.toString().c_str());
-    std::printf("%s\n", times.toString().c_str());
-
-    std::size_t identicalAll = 0, duplicatesTotal = 0;
-    for (const Row &row : rows) {
-        identicalAll += (row.runIdentical[0] && row.runIdentical[1] &&
-                         row.runIdentical[2] && row.elasticIdentical)
-                            ? 1
-                            : 0;
-        duplicatesTotal += row.duplicates;
-    }
-    std::printf(
-        "merged estimates bit-identical to serial run() through "
-        "every runner count AND the death/join chaos pass for "
-        "%zu/%zu benchmarks\n"
-        "duplicate executions across all chaos passes: %zu (each "
-        "abandoned job re-runs at most once per claimant — bounded, "
-        "and benign because results are byte-identical)\n"
-        "(in-process runners share one filesystem, so the curve "
-        "shows protocol overhead, not host scaling; the elastic "
-        "column includes the ~0.4s join delay and the 0.3s steal "
-        "window by construction)\n",
-        identicalAll, rows.size(), duplicatesTotal);
-    std::fflush(stdout);
-
-    if (opt.section != "distrib_scale" || opt.jsonPath.empty())
-        return;
-    std::FILE *json = std::fopen(opt.jsonPath.c_str(), "w");
-    if (!json)
-        SMARTS_FATAL("cannot write ", opt.jsonPath);
-    std::fprintf(json,
-                 "{\n"
-                 "  \"bench\": \"table6_distrib_scale\",\n"
-                 "  \"scale\": \"%s\",\n"
-                 "  \"suite\": \"%s\",\n"
-                 "  \"initial_jobs\": %zu,\n"
-                 "  \"benchmarks\": [\n",
-                 opt.scaleName(),
-                 opt.quickSuite ? "quick" : "standard", kJobs);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row &row = rows[i];
-        std::fprintf(
-            json,
-            "    {\"name\": \"%s\", \"total_units\": %llu, "
-            "\"serial_s\": %.4f,\n"
-            "     \"runs\": [",
-            row.name.c_str(),
-            static_cast<unsigned long long>(row.totalUnits),
-            row.serialS);
-        for (std::size_t j = 0; j < 3; ++j)
-            std::fprintf(
-                json,
-                "{\"runners\": %zu, \"wall_s\": %.4f, "
-                "\"speedup_x\": %.2f, \"identical\": %s}%s",
-                counts[j], row.runS[j],
-                row.serialS / row.runS[j],
-                row.runIdentical[j] ? "true" : "false",
-                j < 2 ? ", " : "],\n");
-        std::fprintf(
-            json,
-            "     \"elastic\": {\"wall_s\": %.4f, "
-            "\"duplicate_executions\": %zu, \"final_ranges\": %zu, "
-            "\"identical\": %s}}%s\n",
-            row.elasticS, row.duplicates, row.finalRanges,
-            row.elasticIdentical ? "true" : "false",
-            i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(json,
-                 "  ],\n"
-                 "  \"identical_everywhere\": %s\n"
-                 "}\n",
-                 identicalAll == rows.size() ? "true" : "false");
-    std::fclose(json);
-    std::printf("json: %s\n", opt.jsonPath.c_str());
     std::fflush(stdout);
 }
 
@@ -1942,20 +1465,6 @@ main(int argc, char **argv)
         persistSection(opt);
         return 0;
     }
-    if (opt.section == "distrib") {
-        banner("Table 6 (distrib section): distributed shard "
-               "runners",
-               opt);
-        distribSection(opt);
-        return 0;
-    }
-    if (opt.section == "distrib_scale") {
-        banner("Table 6 (distrib_scale section): elastic unit-range "
-               "scheduling at 1/2/4 runners",
-               opt);
-        distribScaleSection(opt);
-        return 0;
-    }
     if (opt.section == "livepoint") {
         banner("Table 6 (livepoint section): per-unit checkpoints "
                "+ anytime early stopping",
@@ -1979,8 +1488,8 @@ main(int argc, char **argv)
     }
     if (!opt.section.empty())
         SMARTS_FATAL("unknown --section '", opt.section,
-                     "' (supported: sharded, persist, distrib, "
-                     "distrib_scale, livepoint, store, mix)");
+                     "' (supported: sharded, persist, livepoint, "
+                     "store, mix)");
 
     banner("Table 6: runtimes — detailed vs functional vs SMARTS "
            "(8-way)",
@@ -2108,10 +1617,6 @@ main(int argc, char **argv)
     shardedSection(opt);
     std::printf("\n");
     persistSection(opt);
-    std::printf("\n");
-    distribSection(opt);
-    std::printf("\n");
-    distribScaleSection(opt);
     std::printf("\n");
     livepointSection(opt);
     return 0;

@@ -29,8 +29,8 @@
  * (docs/checkpoint-format.md) keyed by LibraryKey — benchmark,
  * sampling design, and the warm-state geometry hash of the machine
  * config — so a library captured once serves every later process:
- * the two-pass procedure's second run, repeated design studies, and
- * distributed runners. buildMulti() captures the per-config
+ * the two-pass procedure's second run and repeated design studies.
+ * buildMulti() captures the per-config
  * libraries of an N-config study in ONE MultiSession streaming
  * pass. CheckpointStore (core/checkpoint_store.hh) is the directory
  * cache that runSharded/estimateSharded consult before capturing.
@@ -96,11 +96,7 @@ struct LibraryKey
                          const uarch::MachineConfig &config,
                          const SamplingConfig &sampling);
 
-    /**
-     * Field order is normative (docs/checkpoint-format.md § Key);
-     * the distributed job manifest and result files
-     * (docs/distributed-runners.md) embed the same encoding.
-     */
+    /** Field order is normative (docs/checkpoint-format.md § Key). */
     void write(util::BinaryWriter &out) const;
     static LibraryKey read(util::BinaryReader &in);
 
@@ -196,10 +192,7 @@ struct ShardSpec
     /** Last shard: run the stream out so streamLength is exact. */
     bool runsTail = false;
 
-    /**
-     * Field order is normative (docs/checkpoint-format.md): the
-     * `.smck` plan and the distributed job manifest both use it.
-     */
+    /** Field order is normative (docs/checkpoint-format.md). */
     void
     write(util::BinaryWriter &out) const
     {
@@ -220,27 +213,6 @@ struct ShardSpec
         return shard;
     }
 };
-
-/**
- * Field-for-field equality — the ONE definition every plan/echo
- * comparison uses (store plan-match checks, the distributed
- * shard-echo refusal), so a future ShardSpec field cannot make one
- * path recapture while another accepts a stale plan. Whole plans
- * compare via std::vector's operator==.
- */
-inline bool
-operator==(const ShardSpec &a, const ShardSpec &b)
-{
-    return a.firstUnitIndex == b.firstUnitIndex &&
-           a.unitCount == b.unitCount && a.resumePos == b.resumePos &&
-           a.runsTail == b.runsTail;
-}
-
-inline bool
-operator!=(const ShardSpec &a, const ShardSpec &b)
-{
-    return !(a == b);
-}
 
 namespace detail {
 
@@ -310,11 +282,10 @@ class ShardLibraryBase
      * have produced: contiguous shard geometry, interior resume
      * positions on iteration boundaries, the tail flag on exactly
      * the last shard. Returns an empty string when valid, else a
-     * diagnostic naming the offending shard. Both the library
-     * loader and the distributed job manifest refuse files whose
-     * plan fails this — a checksum only proves the writer was
-     * careful, not honest, and executing a malformed plan would
-     * MIS-MEASURE instead of failing loudly.
+     * diagnostic naming the offending shard. The library loader
+     * refuses files whose plan fails this — a checksum only proves
+     * the writer was careful, not honest, and executing a malformed
+     * plan would MIS-MEASURE instead of failing loudly.
      */
     static std::string
     validatePlan(const SamplingConfig &config,

@@ -10,9 +10,8 @@
  *
  * The store is the reuse point the ROADMAP names: a library captured
  * by one process serves every later one — the two-pass procedure's
- * second run, repeated design studies, latency/energy sweeps (whose
- * configs hash to the same geometry), and external runners that
- * speak the documented format.
+ * second run, repeated design studies, and latency/energy sweeps
+ * (whose configs hash to the same geometry).
  *
  * Beyond the lab-artifact basics, the store is a bounded cache
  * service (docs/store-service.md):
@@ -26,11 +25,11 @@
  *    keeps its intact bytes (POSIX) and a racing opener gets a
  *    clean miss, never a torn file.
  *  - A pin/lease protocol: hard-link markers under `<root>/.pins/`
- *    (the distrib claim idiom) exempt an entry from eviction while
+ *    (atomic create-exclusive) exempt an entry from eviction while
  *    a holder measures from it; StoreLease releases on destruction.
  *  - Op counters (hits/misses/refusals/evictions/stat calls...) so
- *    cache behavior is assertable in tests and exportable by the
- *    store daemon (tools/smarts_stored.cc) as BENCH_store.json.
+ *    cache behavior is assertable in tests and exportable as
+ *    BENCH_store.json.
  *
  * Loads verify everything (docs/checkpoint-format.md): checksum,
  * format version, flavor, identity block and the full key. A file
@@ -214,21 +213,6 @@ class CheckpointStore
                        std::size_t shards) const;
 
     /**
-     * Plan-exact variant: a stored library counts as a hit only
-     * when its shard plan equals @p plan EXACTLY; anything else —
-     * missing, refusing, or captured under a different split — is
-     * (re)captured with @p plan. The distributed leader ships
-     * stores with this (every runner of a study must resume from
-     * the manifest's own boundaries); the overload above keeps the
-     * looser "any loadable library serves" contract the in-process
-     * store-backed paths want.
-     */
-    std::size_t ensure(const workloads::BenchmarkSpec &spec,
-                       const std::vector<uarch::MachineConfig> &configs,
-                       const SamplingConfig &sampling,
-                       const std::vector<ShardSpec> &plan) const;
-
-    /**
      * Path of @p key's LIVE-POINT library (core/livepoint.hh): same
      * directory and stem as the shard library, `.smlp` extension.
      */
@@ -372,13 +356,6 @@ class CheckpointStore
         const std::vector<uarch::MachineConfig> &configs,
         const SamplingConfig &sampling, bool livePoints,
         const Stored &stored, const Capture &capture) const;
-
-    std::size_t ensureImpl(
-        const workloads::BenchmarkSpec &spec,
-        const std::vector<uarch::MachineConfig> &configs,
-        const SamplingConfig &sampling,
-        const std::vector<ShardSpec> &plan,
-        bool requirePlanMatch) const;
 
     /** Key's path relative to the root ('/'-separated). */
     std::string relFor(const LibraryKey &key, bool livePoints) const;

@@ -41,15 +41,6 @@ struct ShardSpec;
 /** Builds a fresh session at stream start (thread-safe, reentrant). */
 using SessionFactory = std::function<std::unique_ptr<SimSession>()>;
 
-/**
- * Called between sampled units of a slice: a liveness/progress hook
- * for long executions (the distributed runner heartbeats its claim
- * marker here). Return false to ABANDON the slice — the loop stops
- * where it is and the partial result must not be published or
- * folded.
- */
-using ProgressTick = std::function<bool()>;
-
 struct SamplingConfig
 {
     std::uint64_t unitSize = 1000;      ///< U.
@@ -132,12 +123,9 @@ struct UnitObservation
 
 /**
  * Raw results of one contiguous slice of the sampling loop — the
- * unit of work a shard (in-process or on a remote runner) produces
- * and the unit foldSlice() merges. Everything an estimate
- * accumulates is here verbatim, so folding slices in shard order
- * reproduces the serial run bit for bit; this is also exactly what
- * a distributed per-shard result file carries
- * (docs/distributed-runners.md).
+ * unit of work a shard produces and the unit foldSlice() merges.
+ * Everything an estimate accumulates is here verbatim, so folding
+ * slices in shard order reproduces the serial run bit for bit.
  */
 struct SliceResult
 {
@@ -232,9 +220,9 @@ struct SmartsEstimate
      * accumulators and instruction counters, doubles compared by
      * bit pattern. This is the ONE definition behind every
      * bit-identity contract (the determinism test suites, the
-     * golden bench columns, smarts_runner --serial-check): when the
-     * estimate grows a field, adding it here tightens all of them
-     * at once instead of silently narrowing one.
+     * golden bench columns): when the estimate grows a field,
+     * adding it here tightens all of them at once instead of
+     * silently narrowing one.
      */
     std::vector<std::uint64_t>
     fingerprint() const
@@ -388,36 +376,18 @@ class SystematicSampler
     /**
      * Execute ONE shard's slice of the sampling loop on @p session
      * (fresh at stream start for shard 0, restored from the shard's
-     * checkpoint otherwise). This is the slice entry point the
-     * sharded overloads below and the distributed runner
-     * (smarts::distrib) share: the serial loop body is common code,
-     * so no execution path can drift from run()'s semantics.
+     * checkpoint otherwise). This is the slice entry point every
+     * sharded overload below shares: the serial loop body is common
+     * code, so no execution path can drift from run()'s semantics.
      */
-    SliceResult runSlice(SimSession &session, const ShardSpec &shard,
-                         const ProgressTick &tick = {}) const;
-
-    /**
-     * Measure live-point slots [firstUnit, firstUnit + unitCount) of
-     * @p library — restore, detailed-warm W, measure U per unit,
-     * with serial-identical accounting — into one SliceResult in
-     * slot (= stream) order. This is the unit-range job body of the
-     * distributed runner: folding range results in slot order
-     * reproduces the serial run() bit for bit, exactly as fold of
-     * runSlice results does in shard mode. @p tick fires between
-     * units (see ProgressTick; an abandoned slice is partial and
-     * must not be published). Implemented in livepoint.cc.
-     */
-    SliceResult measureUnits(SimSession &session,
-                             const LivePointLibrary &library,
-                             std::uint64_t firstUnit,
-                             std::uint64_t unitCount,
-                             const ProgressTick &tick = {}) const;
+    SliceResult runSlice(SimSession &session,
+                         const ShardSpec &shard) const;
 
     /**
      * Accumulate a slice into @p est by replaying its per-unit
      * observations in stream order. Replay, not OnlineStats::merge:
      * Chan's merge rounds differently from sequential accumulation,
-     * and every sharded/distributed path's contract is bit-identity
+     * and every sharded path's contract is bit-identity
      * with run(). Slices MUST be folded in shard (stream) order.
      */
     static void foldSlice(SmartsEstimate &est,

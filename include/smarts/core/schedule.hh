@@ -53,13 +53,7 @@ struct WarmingVisitor : ScheduleVisitor
     Session &session;
 
     void warm(std::uint64_t n) { session.warmAsDetailed(n); }
-
-    bool
-    measure(std::uint64_t n)
-    {
-        session.warmAsDetailed(n);
-        return true;
-    }
+    void measure(std::uint64_t n) { session.warmAsDetailed(n); }
 };
 
 /**
@@ -68,9 +62,10 @@ struct WarmingVisitor : ScheduleVisitor
  * session jumps to the first unit at or after its position), for at
  * most @p maxUnits iterations, calling @p visitor's hooks (see the
  * file comment). The walk ends at end of stream, past the last
- * representable unit, after @p maxUnits iterations, or when a hook
- * returns false. Unless a hook stopped it, @p runTail then runs the
- * stream out so the session ends at the true stream length. Works
+ * representable unit, after @p maxUnits iterations, or when
+ * atIteration returns false. Unless atIteration stopped it,
+ * @p runTail then runs the stream out so the session ends at the
+ * true stream length. Works
  * for SimSession, MultiSession and mp::MixSession (positions in
  * rounds): the stream driving the schedule does not depend on what
  * the visitor does with it.
@@ -118,8 +113,7 @@ walkSchedule(Session &session, const SamplingConfig &config,
         }
 
         // The measured unit (possibly truncated at end of stream).
-        if (!visitor.measure(u))
-            return;
+        visitor.measure(u);
     }
 
     if (runTail)

@@ -38,7 +38,6 @@ struct MachineConfig
 
     // Core geometry.
     std::uint32_t width = 8;           ///< issue/commit width.
-    std::uint32_t robSize = 128;
     std::uint32_t pipelineDepth = 14;  ///< mispredict penalty cycles.
 
     // Wrong-path modeling: after a mispredict the detailed front end
@@ -63,7 +62,6 @@ struct MachineConfig
         MachineConfig c;
         c.name = "8-way";
         c.width = 8;
-        c.robSize = 128;
         c.pipelineDepth = 14;
         c.wrongPathFetches = 4;
         c.mem.l1i = {32 * 1024, 2, 64, 1};
@@ -83,7 +81,6 @@ struct MachineConfig
         MachineConfig c;
         c.name = "16-way";
         c.width = 16;
-        c.robSize = 256;
         c.pipelineDepth = 20;
         c.wrongPathFetches = 8;
         c.loadStallFactor = 0.45;

@@ -61,18 +61,6 @@ class TextTable
     /** Fraction rendered as a signed percentage, e.g. 0.0123 -> 1.23%. */
     TextTable &addPercent(double fraction, int precision);
 
-    std::size_t
-    rowCount() const
-    {
-        return rows_.size();
-    }
-
-    std::size_t
-    columnCount() const
-    {
-        return headers_.size();
-    }
-
     /** Aligned text rendering (header, rule, rows). */
     std::string toString() const;
 

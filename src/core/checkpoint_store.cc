@@ -253,9 +253,8 @@ CheckpointStore::pin(const LibraryKey &key, bool livePoints,
     const std::string marker = markerFor(rel, owner);
     ensureDirFor(marker);
 
-    // The distrib claim idiom: write a private temp, then
-    // create_hard_link — an atomic create-exclusive, so exactly one
-    // pin per (entry, owner) wins.
+    // Write a private temp, then create_hard_link — an atomic
+    // create-exclusive, so exactly one pin per (entry, owner) wins.
     const std::string tmp = marker + ".tmp." + uniqueTag();
     {
         std::ofstream out(tmp, std::ios::trunc);
@@ -493,49 +492,20 @@ CheckpointStore::ensure(
     const SamplingConfig &sampling, std::uint64_t streamLength,
     std::size_t shards) const
 {
-    return ensureImpl(spec, configs, sampling,
-                      CheckpointLibrary::planShards(
-                          sampling, streamLength, shards),
-                      /*requirePlanMatch=*/false);
-}
-
-std::size_t
-CheckpointStore::ensure(
-    const workloads::BenchmarkSpec &spec,
-    const std::vector<uarch::MachineConfig> &configs,
-    const SamplingConfig &sampling,
-    const std::vector<ShardSpec> &plan) const
-{
-    return ensureImpl(spec, configs, sampling, plan,
-                      /*requirePlanMatch=*/true);
-}
-
-std::size_t
-CheckpointStore::ensureImpl(
-    const workloads::BenchmarkSpec &spec,
-    const std::vector<uarch::MachineConfig> &configs,
-    const SamplingConfig &sampling,
-    const std::vector<ShardSpec> &plan, bool requirePlanMatch) const
-{
     // "Present" means a library that actually LOADS — a file that
     // exists but refuses (stale version, corruption) is a miss to
     // recapture, or ensure() would report configs as stored that
-    // nothing can resume — and, when the caller pinned a plan, one
-    // captured under that exact shard split.
+    // nothing can resume.
     auto stored = [&](const LibraryKey &key) {
         std::string error;
-        if (std::optional<CheckpointLibrary> library =
-                tryLoad(key, &error)) {
-            if (!requirePlanMatch || library->plan() == plan)
-                return true;
-            SMARTS_WARN("checkpoint store: ", pathFor(key),
-                        " holds a different shard plan; "
-                        "recapturing with the required one");
-        } else if (!error.empty()) {
+        if (tryLoad(key, &error))
+            return true;
+        if (!error.empty())
             SMARTS_WARN("checkpoint store: recapturing (", error, ")");
-        }
         return false;
     };
+    const std::vector<ShardSpec> plan =
+        CheckpointLibrary::planShards(sampling, streamLength, shards);
     return ensureWith<CheckpointLibrary>(
         spec, configs, sampling, /*livePoints=*/false, stored,
         [&](MultiSession &session) {

@@ -568,40 +568,4 @@ SystematicSampler::runAnytimeLeapfrog(SimSession &captureSession,
     return result;
 }
 
-SliceResult
-SystematicSampler::measureUnits(SimSession &session,
-                                const LivePointLibrary &library,
-                                std::uint64_t firstUnit,
-                                std::uint64_t unitCount,
-                                const ProgressTick &tick) const
-{
-    if (library.samplingConfig() != config_)
-        SMARTS_FATAL("live-point library was built for a different "
-                     "sampling design");
-    if (firstUnit + unitCount > library.unitCount())
-        SMARTS_FATAL("unit range [", firstUnit, ", +", unitCount,
-                     ") exceeds the library's ",
-                     library.unitCount(), " live-points");
-
-    // Slots in ascending order ARE stream order, so the accumulated
-    // slice folds exactly like a shard slice: stream-order replay,
-    // bit-identical to the serial loop over the same units.
-    SliceResult r;
-    LivePointLibrary::Cursor cursor(library);
-    LivePoint point;
-    for (std::uint64_t i = firstUnit; i < firstUnit + unitCount;
-         ++i) {
-        cursor.materialize(i, point);
-        const SliceResult unit = measureLivePoint(session, *this, point);
-        r.obs.insert(r.obs.end(), unit.obs.begin(), unit.obs.end());
-        r.measured += unit.measured;
-        r.warmed += unit.warmed;
-        r.dropped += unit.dropped;
-        if (tick && !tick())
-            break; // abandoned: partial, not publishable.
-    }
-    r.endPos = library.streamLength();
-    return r;
-}
-
 } // namespace smarts::core

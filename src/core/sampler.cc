@@ -15,17 +15,15 @@ namespace {
 
 /**
  * The sampling visitor of every single-config slice (run, runSlice,
- * the sharded and distributed paths, live-point replay): W and U run
- * with detailedRun; each complete unit yields one observation, a
+ * the sharded paths, live-point replay): W and U run with
+ * detailedRun; each complete unit yields one observation, a
  * truncated final unit's instructions count as dropped — detailed
- * cost behind no observation. @p tick fires after each unit; false
- * abandons the slice (partial, not publishable, no tail run).
+ * cost behind no observation.
  */
 struct SliceSampling : ScheduleVisitor
 {
     SimSession &session;
     SliceResult &r;
-    const ProgressTick &tick;
 
     void
     warm(std::uint64_t n)
@@ -33,7 +31,7 @@ struct SliceSampling : ScheduleVisitor
         r.warmed += session.detailedRun(n).instructions;
     }
 
-    bool
+    void
     measure(std::uint64_t u)
     {
         const Segment seg = session.detailedRun(u);
@@ -47,7 +45,6 @@ struct SliceSampling : ScheduleVisitor
         } else {
             r.dropped += seg.instructions;
         }
-        return !tick || tick();
     }
 };
 
@@ -65,14 +62,14 @@ struct MatchedSampling : ScheduleVisitor
             e.instructionsWarmed += warm.instructions;
     }
 
-    bool
+    void
     measure(std::uint64_t u)
     {
         const MultiSegment seg = session.detailedRun(u);
         if (seg.instructions != u) {
             for (SmartsEstimate &e : est.perConfig)
                 e.instructionsDropped += seg.instructions;
-            return true;
+            return;
         }
         const double cpi0 = static_cast<double>(seg.per[0].cycles) /
                             static_cast<double>(u);
@@ -85,7 +82,6 @@ struct MatchedSampling : ScheduleVisitor
                 seg.per[c].energyNj / static_cast<double>(u));
             est.cpiDelta[c].add(cpi - cpi0);
         }
-        return true;
     }
 };
 
@@ -140,13 +136,12 @@ struct SystematicSampler::ShardTier
 
 SliceResult
 SystematicSampler::runSlice(SimSession &session,
-                            const ShardSpec &shard,
-                            const ProgressTick &tick) const
+                            const ShardSpec &shard) const
 {
     SliceResult r;
     walkSchedule(session, config_, shard.firstUnitIndex,
                  shard.runsTail ? ~0ull : shard.unitCount,
-                 shard.runsTail, SliceSampling{{}, session, r, tick});
+                 shard.runsTail, SliceSampling{{}, session, r});
     r.endPos = session.instCount();
     return r;
 }

@@ -401,8 +401,7 @@ inDeterministicScope(const std::string &path)
     return pathContains(path, "/core/") ||
            pathContains(path, "/stats/") ||
            pathContains(path, "/mem/") ||
-           pathContains(path, "/bpred/") ||
-           pathContains(path, "/distrib/");
+           pathContains(path, "/bpred/");
 }
 
 /** Files whose loads decode persisted bytes (checksum-before-use). */
@@ -413,7 +412,6 @@ inLoadScope(const std::string &path)
            pathContains(path, "livepoint") ||
            pathContains(path, "persist") ||
            pathContains(path, "store_index") ||
-           pathContains(path, "/distrib/") ||
            pathContains(path, "/mp/");
 }
 
@@ -426,8 +424,7 @@ inMergeScope(const SourceFile &file)
            pathContains(file.path, "core/multi_session") ||
            pathContains(file.path, "core/procedure") ||
            pathContains(file.path, "core/livepoint") ||
-           pathContains(file.path, "/stats/") ||
-           pathContains(file.path, "/distrib/");
+           pathContains(file.path, "/stats/");
 }
 
 /** A struct field and where it is declared. */
@@ -1256,7 +1253,7 @@ class Linter
     //
     // Floating-point addition is not associative, so a bare
     // double accumulation on a parallel merge path would make the
-    // estimate depend on shard/thread/claim order. Folds must go
+    // estimate depend on shard/thread order. Folds must go
     // through stats::OnlineStats (merged in deterministic stream
     // order), SystematicSampler::foldSlice, or the 48.16 fixed-
     // point accumulators (names ending in Fx).

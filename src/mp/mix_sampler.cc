@@ -30,13 +30,13 @@ struct MixSliceSampling : core::ScheduleVisitor
         r.warmed += session.detailedRun(n).rounds;
     }
 
-    bool
+    void
     measure(std::uint64_t u)
     {
         const MixSegment seg = session.detailedRun(u);
         if (seg.rounds != u) {
             r.dropped += seg.rounds; // truncated final unit.
-            return true;
+            return;
         }
         r.measured += u;
         MixUnitObservation o;
@@ -56,7 +56,6 @@ struct MixSliceSampling : core::ScheduleVisitor
             lo.shadowMisses = ls.shadowMisses;
         }
         r.obs.push_back(std::move(o));
-        return true;
     }
 };
 

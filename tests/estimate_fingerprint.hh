@@ -2,10 +2,9 @@
  * @file
  * Test-suite alias for the bit-exact SmartsEstimate fingerprint.
  * The ONE definition lives on the estimate itself
- * (core/sampler.hh, SmartsEstimate::fingerprint) so the tests, the
- * golden benches and smarts_runner --serial-check all tighten
- * together when the estimate grows a field; this header only keeps
- * the suites' free-function spelling.
+ * (core/sampler.hh, SmartsEstimate::fingerprint) so the tests and
+ * the golden benches tighten together when the estimate grows a
+ * field; this header only keeps the suites' free-function spelling.
  */
 
 #ifndef SMARTS_TESTS_ESTIMATE_FINGERPRINT_HH
